@@ -112,22 +112,6 @@ def run_qaoa_zeno(
     return as_density(state)
 
 
-def run_qaoa_pure(
-    cost: Diagonal,
-    mixer: Generator,
-    params: QaoaParams,
-    initial: StateVector,
-) -> StateVector:
-    """Plain measurement-free QAOA evolution on a pure state."""
-    if cost.dim != mixer.dim or cost.dim != initial.dim:
-        raise ops.DimensionMismatchError("cost, mixer, and state dims differ")
-    state = initial.copy()
-    for gamma, beta in zip(params.gammas, params.betas):
-        apply_evolution(state, cost, gamma)
-        apply_evolution(state, mixer, beta)
-    return state
-
-
 def run_qaoa_penalty(
     cost_relaxed: Diagonal,
     mixer: Generator,
@@ -135,8 +119,11 @@ def run_qaoa_penalty(
 ) -> StateVector:
     """Penalty-term baseline: pure-state QAOA from the uniform superposition
     over the extended (problem + slack) register, no measurements."""
-    n_total = cost_relaxed.n
-    return run_qaoa_pure(cost_relaxed, mixer, params, StateVector.uniform(n_total))
+    state = StateVector.uniform(cost_relaxed.n)
+    for gamma, beta in zip(params.gammas, params.betas):
+        apply_evolution(state, cost_relaxed, gamma)
+        apply_evolution(state, mixer, beta)
+    return state
 
 
 def adiabatic_schedule(cfg: "AdiabaticConfig") -> QaoaParams:

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import __version__, experiments, problems, zeno
+from . import __version__, experiments, problems, qcore, zeno
 from .oraclesim import circuit as circ_mod
 from .oraclesim import oracle as oracle_mod
 from .oraclesim import simulate as sim_mod
@@ -114,6 +114,14 @@ def load_instance(args) -> tuple[problems.PortfolioInstance, dict]:
     except ValueError as exc:
         raise CliError(str(exc), code=EXIT_INFEASIBLE) from exc
     return inst, {"generated": {"n": n, "seed": seed, "return_constraint": cfg.return_constraint}}
+
+
+def _check_qubit_cap() -> None:
+    """Refuse a malformed ZENO_MAX_QUBITS before any work starts."""
+    try:
+        qcore.max_qubits()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _bundle(inst: problems.PortfolioInstance) -> experiments.ProblemBundle:
@@ -587,6 +595,7 @@ def main(argv=None) -> int:
     _INVOCATION.extend(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
+        _check_qubit_cap()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

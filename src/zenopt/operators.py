@@ -110,7 +110,7 @@ class Measurement:
     required; a trivial measurement is represented as {I, 0}.
     """
 
-    __slots__ = ("n", "projectors", "_labels", "_mask")
+    __slots__ = ("n", "projectors", "_labels", "_mask", "_cross")
 
     def __init__(self, projectors: Sequence[Projector]):
         projectors = tuple(projectors)
@@ -131,6 +131,7 @@ class Measurement:
         labels.setflags(write=False)
         self._labels = labels
         self._mask: np.ndarray | None = None
+        self._cross: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -147,6 +148,13 @@ class Measurement:
             self._mask = self._labels[:, None] == self._labels[None, :]
             self._mask.setflags(write=False)
         return self._mask
+
+    def cross_block_mask(self) -> np.ndarray:
+        """Complement of :meth:`block_mask`: the entries a measurement zeroes."""
+        if self._cross is None:
+            self._cross = ~self.block_mask()
+            self._cross.setflags(write=False)
+        return self._cross
 
     @classmethod
     def two_outcome(cls, feasible: Projector) -> "Measurement":
@@ -172,7 +180,7 @@ def zeno_hamiltonian(b: Generator, m: Measurement) -> DenseHermitian:
     if b.dim != m.dim:
         raise DimensionMismatchError(f"generator dim {b.dim} != measurement dim {m.dim}")
     mat = b.materialize()
-    mat[~m.block_mask()] = 0.0
+    mat[m.cross_block_mask()] = 0.0
     return DenseHermitian(mat)
 
 

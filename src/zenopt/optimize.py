@@ -29,7 +29,6 @@ from .qcore import (
     Generator,
     State,
     StateVector,
-    apply_evolution,
     expectation,
 )
 
@@ -178,9 +177,7 @@ class ZenoCircuit:
                 sub = angle / steps
                 if shift_at is not None and shift_at[0] == b and shift_at[1] == k:
                     sub += shift_at[2]
-                state = apply_evolution(state, gen, sub)
-                if n_meas >= 1:
-                    state = zeno.apply_measurement(state, self.measurement)
+                state = zeno.zeno_block(state, [(gen, sub)], self.measurement, min(n_meas, 1))
         return state
 
     def expectation(

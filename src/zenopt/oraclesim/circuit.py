@@ -188,9 +188,6 @@ class Circuit:
     def is_unitary_only(self) -> bool:
         return all(isinstance(op, UNITARY_OPS + (Barrier,)) for op in self.ops)
 
-    def measured_clbits(self) -> set[int]:
-        return {op.clbit for op in self.ops if isinstance(op, Measure)}
-
     def __len__(self) -> int:
         return len(self.ops)
 

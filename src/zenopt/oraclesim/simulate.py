@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..operators import Measurement
-from ..qcore import StateVector
+from ..qcore import StateVector, _apply_1q
 from .circuit import (
     CNOT,
     Barrier,
@@ -38,11 +38,6 @@ _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _PRUNE = 1e-30  # squared-norm threshold below which a branch is dropped
 
 ENUMERATE_QUBIT_CAP = 12
-
-
-def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    view = amps.reshape(1 << (n - 1 - q), 2, 1 << q)
-    return np.einsum("ab,xby->xay", u, view).reshape(-1)
 
 
 def _bit_mask(n: int, qubits, value: int = 1) -> np.ndarray:
@@ -94,9 +89,6 @@ class Branch:
     @property
     def probability(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def normalized_state(self) -> np.ndarray:
-        return self.amps / np.linalg.norm(self.amps)
 
     def clbit_word(self, num_clbits: int) -> tuple[int, ...]:
         return tuple(self.clbits.get(c, 0) for c in range(num_clbits))

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,12 @@ class LinearConstraint:
             raise ValueError("constraint coefficients are all zero")
 
     def satisfied(self, x: np.ndarray) -> bool:
-        lhs = float(np.dot(self.coeffs, x))
+        return bool(self._holds(float(np.dot(self.coeffs, x))))
+
+    def _holds(self, lhs):
+        """The sense test on coeffs . x, to 1e-9; elementwise on arrays."""
         if self.sense == Sense.EQ:
-            return math.isclose(lhs, self.rhs, rel_tol=0.0, abs_tol=1e-9)
+            return np.abs(lhs - self.rhs) <= 1e-9
         if self.sense == Sense.LEQ:
             return lhs <= self.rhs + 1e-9
         return lhs >= self.rhs - 1e-9
@@ -70,6 +74,8 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class PortfolioInstance:
+    """A problem; its objective table and feasible set are computed once."""
+
     n: int
     q: float
     sigma: np.ndarray
@@ -106,15 +112,25 @@ class PortfolioInstance:
 
     def objective_table(self) -> np.ndarray:
         """f(x) for every basis index (little-endian bits)."""
-        dim = 1 << self.n
-        table = np.empty(dim, dtype=np.float64)
-        for idx in range(dim):
-            table[idx] = self.objective_value(ops.bits_of(idx, self.n))
+        return self._objective.copy()
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        return _bit_matrix(self.n)
+
+    @cached_property
+    def _objective(self) -> np.ndarray:
+        x = self._bits
+        table = ((self.q * x) @ self.sigma * x).sum(axis=1) - x @ self.mu
+        table.setflags(write=False)
         return table
 
-    def is_feasible(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        return all(c.satisfied(x) for c in self.constraints)
+    @cached_property
+    def _feasible(self) -> ops.Projector:
+        mask = np.ones(1 << self.n, dtype=bool)
+        for c in self.constraints:
+            mask &= c._holds(self._bits @ np.asarray(c.coeffs))
+        return ops.Projector(self.n, np.flatnonzero(mask))
 
     # -- serialization -----------------------------------------------------
 
@@ -160,6 +176,12 @@ def objective_value(inst: PortfolioInstance, x) -> float:
     return inst.objective_value(x)
 
 
+def _bit_matrix(n: int) -> np.ndarray:
+    """Row ``idx`` holds the little-endian bits of basis index ``idx``."""
+    idx = np.arange(1 << n)
+    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # Seeded instance generation
 # ---------------------------------------------------------------------------
@@ -195,27 +217,21 @@ def generate_instance(
     constraints = [LinearConstraint((1.0,) * n, Sense.LEQ, float(budget))]
 
     if cfg.return_constraint:
-        returns = []
-        for idx in range(1 << n):
-            x = np.array(ops.bits_of(idx, n), dtype=np.float64)
-            if x.sum() <= budget + 1e-9:
-                returns.append(float(mu @ x))
-        rhs = float(np.median(returns))
-        constraints.append(LinearConstraint(tuple(mu), Sense.GEQ, rhs))
+        x = _bit_matrix(n)
+        returns = (x @ mu)[x.sum(axis=1) <= budget + 1e-9]
+        constraints.append(LinearConstraint(tuple(mu), Sense.GEQ, float(np.median(returns))))
 
     inst = PortfolioInstance(
         n=n, q=cfg.q, sigma=sigma, mu=mu, constraints=tuple(constraints), seed=seed
     )
-    if feasible_states(inst).is_empty():
+    if inst._feasible.is_empty():
         raise ValueError("generated instance has an empty feasible set")
     return inst
 
 
 def feasible_states(inst: PortfolioInstance) -> ops.Projector:
     """Projector onto the basis states satisfying every constraint."""
-    return ops.projector_from_predicate(
-        inst.n, lambda bits: inst.is_feasible(np.asarray(bits, dtype=np.float64))
-    )
+    return inst._feasible
 
 
 def feasibility_measurement(inst: PortfolioInstance) -> ops.Measurement:
@@ -248,10 +264,10 @@ def default_slack_spacings(inst: PortfolioInstance, bits: int = 3):
     """Per-constraint slack discretization: None for equalities and
     integer-coefficient inequalities (unit spacing applies); real-coefficient
     inequalities get g_max/(2^bits - 1), an exactly ``bits``-wide register."""
-    feas = feasible_states(inst)
+    feas = inst._feasible
     if feas.is_empty():
         raise ValueError("instance has an empty feasible set")
-    x_table = np.array([ops.bits_of(i, inst.n) for i in feas.indices], dtype=np.float64)
+    x_table = inst._bits[feas.indices]
     spacings = []
     for c in inst.constraints:
         if c.sense == Sense.EQ or c.has_integer_coeffs():
@@ -306,8 +322,8 @@ def penalty_objective(
         raise ValueError("one slack spacing entry per constraint is required")
 
     n = inst.n
-    feas = feasible_states(inst)
-    x_table = np.array([ops.bits_of(i, n) for i in range(1 << n)], dtype=np.float64)
+    feas = inst._feasible
+    x_table = inst._bits
 
     widths: list[int] = []
     slack_terms: list[tuple[np.ndarray, float, int]] = []  # (g-values, dg, width)
@@ -342,7 +358,7 @@ def penalty_objective(
     total_slack = sum(widths)
     dim_ext = 1 << (n + total_slack)
     diag = np.empty(dim_ext, dtype=np.float64)
-    f_table = inst.objective_table() + penalties_eq
+    f_table = inst._objective + penalties_eq
 
     slack_lambdas = [
         lam for c, lam in zip(inst.constraints, lambdas) if c.sense != Sense.EQ
@@ -380,11 +396,10 @@ class FeasibleSpan:
 
 
 def feasible_span(inst: PortfolioInstance) -> FeasibleSpan:
-    feas = feasible_states(inst)
+    feas = inst._feasible
     if feas.is_empty():
         raise ValueError("instance has an empty feasible set")
-    table = inst.objective_table()
-    vals = table[feas.indices]
+    vals = inst._objective[feas.indices]
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
     f_min, f_max = float(vals[lo]), float(vals[hi])
     if math.isclose(f_min, f_max, rel_tol=0.0, abs_tol=1e-15):
@@ -395,7 +410,7 @@ def feasible_span(inst: PortfolioInstance) -> FeasibleSpan:
 def cost_scale(inst: PortfolioInstance) -> float:
     """Span of f over the whole cube; phase operators divide by this so the
     two parameter families see gradients of comparable magnitude."""
-    table = inst.objective_table()
+    table = inst._objective
     span = float(table.max() - table.min())
     return span if span > 0 else 1.0
 
@@ -418,8 +433,8 @@ def evaluate_metrics(
     marginal and r_penalty (unconditioned) on the full register.
     """
     span = feasible_span(inst)
-    feas = feasible_states(inst)
-    table = inst.objective_table()
+    feas = inst._feasible
+    table = inst._objective
     probs = state.probabilities()
 
     n = inst.n

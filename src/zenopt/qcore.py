@@ -6,11 +6,14 @@ variable ``x_{j+1}``. Pure states are kept as :class:`StateVector` for speed
 and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
 
-Generators come in four flavours. The structured ones (diagonal operators,
-the transverse field, the rank-one uniform projector) are never materialized
-during evolution; a dense Hermitian generator is exponentiated through its
-eigendecomposition, which is exact for Hermitian input and reusable across
-angles.
+Each generator kind has one evolution kernel, which applies exp(-i*a*G)
+along one axis of a state array; :func:`apply_evolution` is the only code
+that tells pure from mixed states. A state vector is the kernel applied to
+its amplitudes; a density matrix is the kernel applied along its rows, then
+along its columns with the complex-conjugate propagator. The structured
+generators are never materialized; a dense generator is exponentiated
+through its eigendecomposition, exact for Hermitian input and reusable
+across angles.
 """
 
 from __future__ import annotations
@@ -41,11 +44,16 @@ def max_qubits() -> int:
     ``ZENO_MAX_QUBITS`` can lower (never raise) the built-in cap, which is
     handy for keeping CI memory bounded.
     """
-    cap = HARD_MAX_QUBITS
     env = os.environ.get("ZENO_MAX_QUBITS")
-    if env is not None:
-        cap = min(cap, int(env))
-    return cap
+    if env is None:
+        return HARD_MAX_QUBITS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"ZENO_MAX_QUBITS must be a positive integer, got {env!r}")
+    return min(HARD_MAX_QUBITS, cap)
 
 
 def check_num_qubits(n: int) -> int:
@@ -118,9 +126,6 @@ class StateVector:
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amps, self.amps.conj()), copy=False, validate=False)
 
-    def fidelity(self, other: "StateVector") -> float:
-        return float(abs(np.vdot(self.amps, other.amps)) ** 2)
-
 
 class DensityMatrix:
     """Exact mixed state of an ``n``-qubit register.
@@ -150,10 +155,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityMatrix":
-        return state.to_density()
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.mat, copy=True, validate=False)
@@ -196,8 +197,21 @@ def as_density(state: State) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _apply_1q(arr: np.ndarray, u: np.ndarray, q: int, n: int, pre: int = 1, post: int = 1):
+    """Apply the 2x2 matrix ``u`` to qubit ``q`` of the ``2^n`` axis of ``arr``
+    viewed as ``(pre, 2^n, post)``; returns a new array of ``arr``'s shape."""
+    view = arr.reshape(pre, 1 << (n - 1 - q), 2, (1 << q) * post)
+    return np.einsum("ab,pxby->pxay", u, view).reshape(arr.shape)
+
+
 class Generator:
-    """Hermitian generator of a one-parameter unitary family exp(-i*a*G)."""
+    """Hermitian generator of a one-parameter unitary family exp(-i*a*G).
+
+    Its kernel: ``_propagator(angle)`` gives exp(-i*angle*G) in a compact
+    form whose elementwise conjugate is the conjugate propagator's form, and
+    ``_evolve(arr, prop, pre, post)`` applies a form along the middle axis of
+    ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result.
+    """
 
     n: int
 
@@ -207,6 +221,9 @@ class Generator:
 
     def materialize(self) -> np.ndarray:
         raise NotImplementedError
+
+    def _propagator(self, angle: float):
+        raise TypeError(f"unknown generator type {type(self).__name__}")
 
 
 class Diagonal(Generator):
@@ -221,6 +238,14 @@ class Diagonal(Generator):
 
     def materialize(self) -> np.ndarray:
         return np.diag(self.values.astype(np.complex128))
+
+    def _propagator(self, angle: float) -> np.ndarray:
+        return np.exp(-1j * angle * self.values)
+
+    def _evolve(self, arr, phases, pre, post):
+        view = arr.reshape(pre, self.dim, post)
+        view *= phases[:, None]
+        return view.reshape(arr.shape)
 
 
 class TransverseField(Generator):
@@ -239,6 +264,17 @@ class TransverseField(Generator):
             mat[idx ^ (1 << k), idx] += 1.0
         return mat
 
+    def _propagator(self, angle: float) -> np.ndarray:
+        """The single-qubit X rotation; the terms commute, so the propagator
+        is its n-fold tensor power."""
+        c, s = np.cos(angle), np.sin(angle)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+
+    def _evolve(self, arr, u, pre, post):
+        for q in range(self.n):
+            arr = _apply_1q(arr, u, q, self.n, pre, post)
+        return arr
+
 
 class RankOneUniform(Generator):
     """Rank-one projector onto the uniform superposition (complete-graph mixer)."""
@@ -251,6 +287,15 @@ class RankOneUniform(Generator):
     def materialize(self) -> np.ndarray:
         dim = self.dim
         return np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
+
+    def _propagator(self, angle: float) -> complex:
+        """c in exp(-i*angle*P) = I + c*P, since P is a projector."""
+        return np.exp(-1j * angle) - 1.0
+
+    def _evolve(self, arr, c, pre, post):
+        view = arr.reshape(pre, self.dim, post)
+        view += (c / self.dim) * view.sum(axis=1, keepdims=True)
+        return view.reshape(arr.shape)
 
 
 class DenseHermitian(Generator):
@@ -293,6 +338,14 @@ class DenseHermitian(Generator):
         w, v = self.eigensystem()
         return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
+    _propagator = propagator
+
+    def _evolve(self, arr, u, pre, post):
+        # Every state layout has pre == 1 or post == 1: one matrix product.
+        if pre == 1:
+            return (u @ arr.reshape(self.dim, post)).reshape(arr.shape)
+        return (arr.reshape(pre, self.dim) @ u.T).reshape(arr.shape)
+
 
 # ---------------------------------------------------------------------------
 # Evolution and expectation
@@ -310,81 +363,23 @@ def _check_dims(state: State, g: Generator) -> None:
         raise DimensionMismatchError(f"state dim {state.dim} != generator dim {g.dim}")
 
 
-def _sv_apply_1q(amps: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    view = amps.reshape(1 << (n - 1 - qubit), 2, 1 << qubit)
-    return np.einsum("ab,xby->xay", u, view).reshape(-1)
-
-
-def _dm_apply_1q(mat: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    rows = mat.reshape(1 << (n - 1 - qubit), 2, (1 << qubit) * dim)
-    mat = np.einsum("ab,xby->xay", u, rows).reshape(dim, dim)
-    cols = mat.reshape(dim, 1 << (n - 1 - qubit), 2, 1 << qubit)
-    return np.einsum("ab,xzby->xzay", u.conj(), cols).reshape(dim, dim)
-
-
-def _x_rotation(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def apply_evolution(state: State, g: Generator, angle: float) -> State:
     """Conjugate ``state`` by exp(-i*angle*g), in place, and return it.
 
-    Structured generators use their closed forms: a diagonal operator is a
-    phase mask, the transverse field factors into single-qubit X rotations,
-    and the rank-one uniform projector P gives I + (exp(-i*angle)-1)*P.
+    The generator's kernel acts on the amplitudes of a pure state, and on
+    the rows and then the columns (with the conjugate propagator) of a
+    density matrix.
     """
     angle = _check_angle(angle)
     _check_dims(state, g)
-
-    if isinstance(g, Diagonal):
-        phases = np.exp(-1j * angle * g.values)
-        if isinstance(state, StateVector):
-            state.amps *= phases
-        else:
-            state.mat *= phases[:, None]
-            state.mat *= phases.conj()[None, :]
-        return state
-
-    if isinstance(g, TransverseField):
-        u = _x_rotation(angle)
-        if isinstance(state, StateVector):
-            amps = state.amps
-            for k in range(g.n):
-                amps = _sv_apply_1q(amps, u, k, g.n)
-            state.amps = amps
-        else:
-            mat = state.mat
-            for k in range(g.n):
-                mat = _dm_apply_1q(mat, u, k, g.n)
-            state.mat = mat
-        return state
-
-    if isinstance(g, RankOneUniform):
-        dim = g.dim
-        c = np.exp(-1j * angle) - 1.0
-        root = np.sqrt(dim)
-        if isinstance(state, StateVector):
-            overlap = state.amps.sum() / root
-            state.amps += (c * overlap / root)
-        else:
-            v = state.mat.sum(axis=1) / root          # rho |+>
-            s = v.sum().real / root                   # <+|rho|+>
-            state.mat += (c / root) * v.conj()[None, :]
-            state.mat += (np.conj(c) / root) * v[:, None]
-            state.mat += (abs(c) ** 2 * s / dim)
-        return state
-
-    if isinstance(g, DenseHermitian):
-        u = g.propagator(angle)
-        if isinstance(state, StateVector):
-            state.amps = u @ state.amps
-        else:
-            state.mat = u @ state.mat @ u.conj().T
-        return state
-
-    raise TypeError(f"unknown generator type {type(g).__name__}")
+    prop = g._propagator(angle)
+    if isinstance(state, StateVector):
+        state.amps = g._evolve(state.amps, prop, 1, 1)
+    else:
+        dim = state.dim
+        state.mat = g._evolve(state.mat, prop, 1, dim)
+        state.mat = g._evolve(state.mat, np.conj(prop), dim, 1)
+    return state
 
 
 def expectation(state: State, obs: Generator) -> float:

@@ -4,6 +4,10 @@ The non-selective measurement maps rho to sum_j P_j rho P_j. A *block* is a
 sequence of parameterized evolutions executed between measurements; running a
 block with N subdivisions means repeating N times: evolve every generator by
 angle/N, then measure. N = 0 means the block runs unmeasured at full angle.
+:func:`zeno_block` is the one executor of that loop; the parameter-shift
+circuit runs each sub-step through it as a block with N = 1 (or N = 0 when
+unmeasured), and the infinite-measurement limit is one measurement followed
+by one evolution under the projected generator.
 
 The scheduling rules translate a target out-of-constraint bound ``delta``
 into sufficient measurement counts. All of them are ceilinged and, for a
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import operators as ops
 from .qcore import (
+    DenseHermitian,
     DensityMatrix,
     DimensionMismatchError,
     Generator,
@@ -72,7 +77,7 @@ def apply_measurement(state: State, m: ops.Measurement) -> DensityMatrix:
     if state.dim != m.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
     rho = as_density(state)
-    rho.mat[~m.block_mask()] = 0.0
+    np.putmask(rho.mat, m.cross_block_mask(), 0.0)
     rho.note_superop()
     return rho
 
@@ -91,14 +96,12 @@ def zeno_block(
     """
     if n_measurements < 0:
         raise ValueError("measurement count must be non-negative")
-    if n_measurements == 0:
+    steps = max(1, n_measurements)
+    for _ in range(steps):
         for g, angle in generators_with_angles:
-            state = apply_evolution(state, g, angle)
-        return state
-    for _ in range(n_measurements):
-        for g, angle in generators_with_angles:
-            state = apply_evolution(state, g, angle / n_measurements)
-        state = apply_measurement(state, m)
+            state = apply_evolution(state, g, angle / steps)
+        if n_measurements:
+            state = apply_measurement(state, m)
     return state
 
 
@@ -107,32 +110,15 @@ def zeno_limit_propagator(
     generators_with_angles: GeneratorAngles,
     m: ops.Measurement,
 ) -> DensityMatrix:
-    """Infinite-measurement limit of a block: measure, then evolve under the
-    projected generator sum_j P_j (sum_i angle_i H_i) P_j.
-
-    The projected generator is exactly block-diagonal, so each subspace block
-    is exponentiated on its own instead of eigendecomposing the full matrix.
-    """
-    for g, _ in generators_with_angles:
-        if g.dim != m.dim:
-            raise DimensionMismatchError("generator and measurement dims differ")
-    rho = apply_measurement(state, m)
-
+    """Infinite-measurement limit of a block: measure, then evolve for unit
+    time under the projected generator sum_j P_j (sum_i angle_i H_i) P_j."""
     total = np.zeros((m.dim, m.dim), dtype=np.complex128)
     for g, angle in generators_with_angles:
+        if g.dim != m.dim:
+            raise DimensionMismatchError("generator and measurement dims differ")
         total += angle * g.materialize()
-
-    u = np.zeros_like(total)
-    for p in m.projectors:
-        if p.rank == 0:
-            continue
-        sel = np.ix_(p.indices, p.indices)
-        block = total[sel]
-        block = (block + block.conj().T) / 2.0
-        w, v = np.linalg.eigh(block)
-        u[sel] = (v * np.exp(-1j * w)) @ v.conj().T
-    rho.mat = u @ rho.mat @ u.conj().T
-    return rho
+    rho = apply_measurement(state, m)
+    return apply_evolution(rho, ops.zeno_hamiltonian(DenseHermitian(total), m), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,7 @@ def test_adiabatic_limit_recovery_with_confining_counts():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_eta_transfer():
     """Fixed parameters optimized at eta = 1.6 on a seeded 6-asset instance:
     the in-constraint probability is non-decreasing (tolerance 0.02 per
@@ -352,6 +353,7 @@ def test_criterion_08_eta_transfer():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_09_penalty_tradeoff():
     """Penalty-factor sweep on a seeded 5-asset instance: the in-constraint
     probability rises with lambda while r falls (Spearman > 0.8 / < -0.5)."""
@@ -380,6 +382,7 @@ def test_criterion_09_penalty_tradeoff():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_zeno_vs_penalty_dominance():
     """On 5 seeded budget-constrained instances, the best measured run (eta
     tuned over a 4-point grid, feasibility >= 0.95) matches or beats the

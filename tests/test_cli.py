@@ -105,6 +105,13 @@ def test_penalty_conflicts_with_schedule():
     ) == 2
 
 
+@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_malformed_qubit_cap_is_a_validation_error(monkeypatch, capsys, cap):
+    monkeypatch.setenv("ZENO_MAX_QUBITS", cap)
+    assert run_cli("run-qaoa", "--generate", "4,7", "--schedule", "eta=0.1") == 2
+    assert "ZENO_MAX_QUBITS" in capsys.readouterr().err
+
+
 def test_penalty_run_emits_r_penalty(tmp_path):
     out = tmp_path / "pen.json"
     assert run_cli(
@@ -144,6 +151,7 @@ def test_infeasible_instance_exit_code(tmp_path):
     ) == 3
 
 
+@pytest.mark.slow
 def test_run_lvqe(tmp_path):
     out = tmp_path / "lvqe.json"
     assert run_cli(

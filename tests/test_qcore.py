@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from zenopt.operators import Measurement, Projector
 from zenopt.qcore import (
     DenseHermitian,
     DensityMatrix,
@@ -18,6 +21,7 @@ from zenopt.qcore import (
     is_unitary,
     max_qubits,
 )
+from zenopt.zeno import zeno_block
 
 
 def random_state(n, rng):
@@ -57,6 +61,11 @@ def test_qubit_cap_env_var(monkeypatch):
     # the env var can only lower the cap
     monkeypatch.setenv("ZENO_MAX_QUBITS", "99")
     assert max_qubits() == 14
+    # a value that is not an integer, or below one, is refused by name
+    for bad in ("abc", "2.5", "0", "-3"):
+        monkeypatch.setenv("ZENO_MAX_QUBITS", bad)
+        with pytest.raises(ValueError, match="ZENO_MAX_QUBITS"):
+            max_qubits()
 
 
 def test_zero_angle_is_identity():
@@ -186,3 +195,86 @@ def test_involution_uses_closed_form():
     angle = 0.91
     expected = np.cos(angle) * np.eye(4) - 1j * np.sin(angle) * np.kron(x, x)
     np.testing.assert_allclose(gen.propagator(angle), expected, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: every generator kind against scipy expm conjugation
+# ---------------------------------------------------------------------------
+
+GENERATOR_KINDS = ("diag", "x", "cg", "dense")
+
+
+def _random_generator(kind, n, rng):
+    if kind == "diag":
+        return Diagonal(rng.standard_normal(1 << n))
+    if kind == "x":
+        return TransverseField(n)
+    if kind == "cg":
+        return RankOneUniform(n)
+    h = _random_hermitian(n, rng)
+    return DenseHermitian(h / np.linalg.norm(h, 2))
+
+
+def _random_state(n, mixed, rng):
+    if not mixed:
+        return random_state(n, rng)
+    a = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def _dense(state):
+    return state.to_density().mat if isinstance(state, StateVector) else state.mat.copy()
+
+
+def _conjugate(rho, gen, angle):
+    u = expm(-1j * angle * gen.materialize())
+    return u @ rho @ u.conj().T
+
+
+evolution_cases = st.fixed_dictionaries({
+    "n": st.integers(min_value=1, max_value=6),
+    "mixed": st.booleans(),
+    "seed": st.integers(min_value=0, max_value=2**32 - 1),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(evolution_cases, st.sampled_from(GENERATOR_KINDS), st.floats(min_value=-3.0, max_value=3.0))
+def test_apply_evolution_matches_expm(case, kind, angle):
+    rng = np.random.default_rng(case["seed"])
+    gen = _random_generator(kind, case["n"], rng)
+    state = _random_state(case["n"], case["mixed"], rng)
+    expected = _conjugate(_dense(state), gen, angle)
+    out = apply_evolution(state, gen, angle)
+    assert type(out) is type(state)
+    np.testing.assert_allclose(_dense(out), expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    evolution_cases,
+    st.lists(st.sampled_from(GENERATOR_KINDS), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=4),
+)
+def test_zeno_block_matches_expm_and_projector_loop(case, kinds, n_measurements):
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    gens = [(_random_generator(k, n, rng), float(rng.uniform(-3.0, 3.0))) for k in kinds]
+    inside = rng.random(1 << n) < 0.5
+    feasible = Projector(n, np.flatnonzero(inside))
+    m = Measurement.two_outcome(feasible)
+    state = _random_state(n, case["mixed"], rng)
+
+    steps = max(1, n_measurements)
+    us = [expm(-1j * angle / steps * g.materialize()) for g, angle in gens]
+    projectors = [p.matrix() for p in m.projectors]
+    rho = _dense(state)
+    for _ in range(steps):
+        for u in us:
+            rho = u @ rho @ u.conj().T
+        if n_measurements:
+            rho = sum(p @ rho @ p for p in projectors)
+
+    out = zeno_block(state, gens, m, n_measurements)
+    np.testing.assert_allclose(_dense(out), rho, rtol=0, atol=1e-12)
