@@ -62,18 +62,6 @@ def _parse_ints(text: str) -> list[int]:
         raise CliError(f"cannot parse integer list {text!r}") from exc
 
 
-def parse_schedule(text: str) -> dict:
-    if text in ("theorem1", "cor1", "cor3"):
-        return {"rule": text, "delta": None, "eta": None, "counts": None}
-    if text.startswith("eta="):
-        return {"rule": "eta", "delta": None, "eta": float(text[4:]), "counts": None}
-    if text.startswith("manual="):
-        return {"rule": "manual", "delta": None, "eta": None, "counts": _parse_ints(text[7:])}
-    raise CliError(
-        f"unknown schedule {text!r}: expected theorem1|cor1|cor3|eta=VAL|manual=N1,..."
-    )
-
-
 def parse_constraint(text: str) -> problems.LinearConstraint:
     """Mini-grammar: comma-separated integer coefficients, sense token,
     integer right-hand side, e.g. "2,-1,-1,0 EQ 0"."""
@@ -102,12 +90,16 @@ def load_instance(args) -> tuple[problems.PortfolioInstance, dict]:
                 inst = problems.PortfolioInstance.from_json(fh.read())
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot load instance {args.instance}: {exc}") from exc
+        _check_register(inst.n)
         return inst, {"file": args.instance}
     try:
         n_text, seed_text = args.generate.split(",")
         n, seed = int(n_text), int(seed_text)
     except ValueError as exc:
         raise CliError(f"--generate expects 'n,seed', got {args.generate!r}") from exc
+    if not 2 <= n <= 12:
+        raise CliError(f"asset count must lie in [2, 12], got {n}")
+    _check_register(n)
     cfg = problems.InstanceConfig(return_constraint=getattr(args, "return_constraint", False))
     try:
         inst = problems.generate_instance(n, seed, cfg)
@@ -116,10 +108,11 @@ def load_instance(args) -> tuple[problems.PortfolioInstance, dict]:
     return inst, {"generated": {"n": n, "seed": seed, "return_constraint": cfg.return_constraint}}
 
 
-def _check_qubit_cap() -> None:
-    """Refuse a malformed ZENO_MAX_QUBITS before any work starts."""
+def _check_register(n: int | None = None) -> None:
+    """Refuse a malformed ZENO_MAX_QUBITS, or an n-qubit register over its
+    cap, before any work starts."""
     try:
-        qcore.max_qubits()
+        qcore.max_qubits() if n is None else qcore.check_num_qubits(n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -227,12 +220,7 @@ def cmd_run_qaoa(args) -> int:
                 restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
             )
         else:
-            spec = parse_schedule(args.schedule or "eta=1.6")
-            if spec["rule"] in ("theorem1", "cor1", "cor3"):
-                spec["delta"] = args.delta
-                if args.delta is None:
-                    raise CliError(f"schedule {spec['rule']!r} needs --delta")
-            schedule = experiments.schedule_from_spec(spec, args.layers)
+            schedule = zeno.ZenoSchedule.parse(args.schedule or "eta=1.6", args.delta)
             config["schedule"] = schedule.describe()
             report, params, metrics = experiments.optimize_zeno_qaoa(
                 bundle, args.mixer, args.layers, schedule,
@@ -352,18 +340,15 @@ def cmd_sweep(args) -> int:
     elif args.kind == "layers":
         if bool(args.penalty) == bool(args.schedule):
             raise CliError("layers sweep needs exactly one of --penalty or --schedule")
+        if args.penalty:
+            method = {"lambdas": _parse_floats(args.penalty)}
+        else:
+            try:
+                method = {"schedule": zeno.ZenoSchedule.parse(args.schedule, args.delta)}
+            except ValueError as exc:
+                raise CliError(str(exc)) from exc
         for p in _parse_ints(args.layers_grid or ""):
-            point = {**common, "kind": "layers", "p": p}
-            if args.penalty:
-                point["lambdas"] = _parse_floats(args.penalty)
-            else:
-                spec = parse_schedule(args.schedule)
-                if spec["rule"] in ("theorem1", "cor1", "cor3"):
-                    if args.delta is None:
-                        raise CliError(f"schedule {spec['rule']!r} needs --delta")
-                    spec["delta"] = args.delta
-                point["schedule"] = spec
-            points.append(point)
+            points.append({**common, "kind": "layers", "p": p, **method})
     elif args.kind == "transfer":
         if not args.transfer_from:
             raise CliError("sweep transfer needs --transfer-from RUN.json")
@@ -408,17 +393,17 @@ def verify_oracle_circuit(
     """Exhaustive gate-level validation; raises CliError(code=4) on the first
     mismatch, naming the offending input."""
     n = oracle.n_system
+    # One run over every system basis state: column x of each readout's
+    # probabilities is input x's.
+    dist = sim_mod.clbit_distribution(circuit, np.eye(1 << circuit.num_qubits, 1 << n))
     for x in range(1 << n):
-        amps = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
-        amps[x] = 1.0
-        dist = sim_mod.clbit_distribution(circuit, amps)
         expected = oracle.expected_word(x)
-        prob = dist.get(expected, 0.0)
+        prob = dist[expected][x] if expected in dist else 0.0
         if abs(prob - 1.0) > 1e-9:
-            got = max(dist, key=dist.get)
+            got = max(dist, key=lambda word: dist[word][x])
             raise CliError(
                 f"verification failed at input x={x:0{n}b} (bits x1..xn right-to-left): "
-                f"expected readout {expected}, got {got} with probability {dist[got]:.6f}",
+                f"expected readout {expected}, got {got} with probability {dist[got][x]:.6f}",
                 code=EXIT_VERIFICATION,
             )
     try:
@@ -595,7 +580,7 @@ def main(argv=None) -> int:
     _INVOCATION.extend(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
-        _check_qubit_cap()
+        _check_register()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

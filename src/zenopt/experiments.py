@@ -231,13 +231,14 @@ def optimize_lvqe(
     bundle: ProblemBundle,
     p: int,
     n_measurements: int,
-    restarts: int = 20,
+    restarts: int | None = None,
     seed: int = 0,
     budget: int | None = None,
     jobs: int = 1,
 ) -> tuple[optimize.OptimizationReport, ansatz.LvqeParams, dict[str, float]]:
     n = bundle.instance.n
     dim = n * (p + 1)
+    restarts = 20 if restarts is None else restarts
     budget = restarts * 200 * (p + 1) if budget is None else budget
     report = optimize.optimize_params(
         lvqe_objective(bundle, p, n_measurements),
@@ -323,9 +324,8 @@ def _run_sweep_point(payload: dict) -> dict:
                 bundle, payload["lambdas"], payload["mixer"], payload["p"], **common
             )
         else:
-            schedule = schedule_from_spec(payload["schedule"], payload["p"])
             _, _, metrics = optimize_zeno_qaoa(
-                bundle, payload["mixer"], payload["p"], schedule, **common
+                bundle, payload["mixer"], payload["p"], payload["schedule"], **common
             )
         return _sweep_row("layers", payload["p"], None, metrics, seed)
 
@@ -353,25 +353,8 @@ def _num(value) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schedule parsing and the measurement-count table
+# Measurement-count table
 # ---------------------------------------------------------------------------
-
-
-def schedule_from_spec(spec: dict, p: int) -> zeno.ZenoSchedule:
-    """Build a schedule from the parsed CLI form.
-
-    ``spec`` carries {"rule": ..., "delta": ..., "eta": ..., "counts": ...};
-    manual counts must match the layer count.
-    """
-    rule = spec["rule"]
-    if rule == "manual":
-        counts = spec["counts"]
-        if len(counts) != p:
-            raise ValueError(f"manual schedule lists {len(counts)} counts for {p} layers")
-        return zeno.ZenoSchedule.manual(counts)
-    if rule == "eta":
-        return zeno.ZenoSchedule.from_eta(spec["eta"])
-    return zeno.ZenoSchedule(rule=rule, delta=spec["delta"])
 
 
 SCALING_COLUMNS = ("mixer", "n", "delta", "layers", "beta", "n_measurements")

@@ -204,7 +204,7 @@ def _equality_oracle(
         )
 
     circ = Circuit(n + m, num_clbits=m)
-    loader = fourier_load_polynomial(poly, n, with_swaps=False)
+    loader = fourier_load_polynomial(poly, n)
     circ.extend(loader.ops)
     circ.barrier()
     for k in range(m):
@@ -225,7 +225,7 @@ def _equality_oracle(
 def _inequality_oracle(c: LinearConstraint, poly: FixedPointPoly, n: int) -> ConstraintOracle:
     m = poly.precision
     circ = Circuit(n + m, num_clbits=1)
-    loader = fourier_load_polynomial(poly, n, with_swaps=False)
+    loader = fourier_load_polynomial(poly, n)
     circ.extend(loader.ops)
     circ.barrier()
     circ.measure(n + m - 1, 0)  # sign bit

@@ -188,7 +188,7 @@ def bank_ops_for_bit(poly: FixedPointPoly, register_bit: int, target: int) -> li
     return ops
 
 
-def load_bank_ops(poly: FixedPointPoly, n_system: int, aux_of_bit) -> list[Op]:
+def load_bank_ops(poly: FixedPointPoly, aux_of_bit) -> list[Op]:
     """One bank per term: the term's phases for value bit j land on qubit
     ``aux_of_bit(j)``, giving num_terms * precision rotations in total."""
     ops: list[Op] = []
@@ -203,15 +203,13 @@ def load_bank_ops(poly: FixedPointPoly, n_system: int, aux_of_bit) -> list[Op]:
     return ops
 
 
-def fourier_load_polynomial(
-    poly: FixedPointPoly, n: int, with_swaps: bool = False
-) -> Circuit:
+def fourier_load_polynomial(poly: FixedPointPoly, n: int) -> Circuit:
     """Circuit on n system + m auxiliary qubits computing |b>|0> -> |b>|g~(b)>.
 
     Prepares the auxiliaries in |+>^m, applies one multi-controlled phase
-    bank per polynomial term, and finishes with the inverse QFT. The default
-    swap-free inverse transform is compensated by loading the banks in
-    bit-reversed order, so the register still reads out little-endian.
+    bank per polynomial term, and finishes with the swap-free inverse QFT.
+    The missing swaps are compensated by loading the banks in bit-reversed
+    order, so the register still reads out little-endian.
     """
     if poly.max_variable() >= n:
         raise ValueError("polynomial references a variable beyond the system register")
@@ -219,15 +217,8 @@ def fourier_load_polynomial(
     circ = Circuit(n + m)
     for k in range(m):
         circ.h(n + k)
-
-    if with_swaps:
-        aux_of_bit = lambda j: n + j  # noqa: E731
-    else:
-        aux_of_bit = lambda j: n + (m - 1 - j)  # noqa: E731
-    circ.extend(load_bank_ops(poly, n, aux_of_bit))
-
-    inv = qft_circuit(m, inverse=True, with_swaps=with_swaps)
-    for op in inv.ops:
+    circ.extend(load_bank_ops(poly, lambda j: n + (m - 1 - j)))
+    for op in qft_circuit(m, inverse=True, with_swaps=False).ops:
         circ.append(_shift_op(op, n))
     return circ
 

@@ -2,18 +2,27 @@
 
 Measurement trees here are shallow (at most a handful of measured bits), so
 the validation mode enumerates every outcome branch exactly instead of
-sampling: each Measure or Reset splits the current amplitude vector into its
+sampling: each Measure or Reset splits the current amplitudes into their
 projected parts, and branches carry their classical record plus unnormalized
 amplitudes (the squared norm is the branch probability).
 
-``induced_superoperator`` turns a constraint-checking circuit into the
-quantum channel it applies to the system register, by extracting one Kraus
-operator per outcome branch. That is what lets a gate-level oracle be
-compared, as a map, against a matrix-level measurement family.
+The enumerator is batched: its input is one state, or a ``(2^N, k)`` array
+whose columns are k states, and every op acts on all columns side by side.
+A branch is kept while any column still has weight on it, so one pass gives
+each input's branches at once; a column that never reaches a branch carries
+zeros there. The matrix of a measurement-free circuit is the one branch of
+the identity batch, and ``induced_superoperator`` turns a constraint-checking
+circuit into the quantum channel it applies to the system register by
+running the circuit once on every system basis state (auxiliaries in |0>)
+and reading one Kraus operator per outcome branch off that batch. That is
+what lets a gate-level oracle be compared, as a map, against a matrix-level
+measurement family.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +44,7 @@ from .circuit import (
 )
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-_PRUNE = 1e-30  # squared-norm threshold below which a branch is dropped
+_PRUNE = 1e-30  # squared-norm threshold below which a column counts as empty
 
 ENUMERATE_QUBIT_CAP = 12
 
@@ -49,9 +58,10 @@ def _bit_mask(n: int, qubits, value: int = 1) -> np.ndarray:
 
 
 def _apply_unitary_op(amps: np.ndarray, op: Op, n: int) -> np.ndarray:
+    """Apply a gate to every column of the ``(2^n, k)`` array ``amps``."""
     match op:
         case H(q):
-            return _apply_1q(amps, _H2, q, n)
+            return _apply_1q(amps, _H2, q, n, 1, amps.shape[1])
         case X(q):
             idx = np.arange(1 << n)
             return amps[idx ^ (1 << q)]
@@ -78,7 +88,8 @@ class Branch:
 
     ``key`` records every stochastic event (measurements and resets) as
     (op position, outcome); ``clbits`` maps classical bits to their final
-    values. Amplitudes are unnormalized: their squared norm is the branch
+    values. Amplitudes are unnormalized and shaped like the input (one
+    column per input of a batch): their squared norm is the branch
     probability.
     """
 
@@ -87,8 +98,10 @@ class Branch:
     amps: np.ndarray
 
     @property
-    def probability(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+    def probability(self):
+        """Branch probability: a float, or one per column of a batch."""
+        prob = np.sum(np.abs(self.amps) ** 2, axis=0)
+        return float(prob) if prob.ndim == 0 else prob
 
     def clbit_word(self, num_clbits: int) -> tuple[int, ...]:
         return tuple(self.clbits.get(c, 0) for c in range(num_clbits))
@@ -109,22 +122,31 @@ def _move_bit_to_zero(amps: np.ndarray, q: int, n: int) -> np.ndarray:
     return out
 
 
+def _reached(amps: np.ndarray) -> bool:
+    """Whether any column has weight left on a branch."""
+    return float(np.max(np.sum(np.abs(amps) ** 2, axis=0))) > _PRUNE
+
+
 def enumerate_branches(circ: Circuit, input_state) -> list[Branch]:
-    """Every measurement-outcome branch, exactly.
+    """Every measurement-outcome branch, exactly, for one input or a batch.
 
     ``input_state`` is a StateVector or amplitude array over all circuit
-    qubits. Branch probabilities sum to one (up to float rounding).
+    qubits, or a ``(2^N, k)`` array whose columns are k inputs run side by
+    side. A branch is dropped only when it is empty for every input, so for
+    each column the branch probabilities sum to one (up to float rounding).
     """
     if circ.num_qubits > ENUMERATE_QUBIT_CAP:
         raise ValueError(
             f"{circ.num_qubits} qubits exceeds the branch-enumeration cap "
             f"of {ENUMERATE_QUBIT_CAP}"
         )
-    amps0 = input_state.amps if isinstance(input_state, StateVector) else np.asarray(input_state)
-    amps0 = np.array(amps0, dtype=np.complex128).reshape(-1)
-    if amps0.size != (1 << circ.num_qubits):
-        raise ValueError("input state dimension does not match the circuit")
+    amps0 = input_state.amps if isinstance(input_state, StateVector) else input_state
+    amps0 = np.array(amps0, dtype=np.complex128)
     n = circ.num_qubits
+    if amps0.ndim > 2 or amps0.shape[0] != (1 << n):
+        raise ValueError("input state dimension does not match the circuit")
+    shape = amps0.shape
+    amps0 = amps0.reshape(1 << n, -1)
 
     branches = [Branch(key=(), clbits={}, amps=amps0)]
     for pos, op in enumerate(circ.ops):
@@ -134,16 +156,16 @@ def enumerate_branches(circ: Circuit, input_state) -> list[Branch]:
                 case Measure(q, c):
                     for value in (0, 1):
                         amps = _project_bit(br.amps, q, value, n)
-                        if np.vdot(amps, amps).real > _PRUNE:
+                        if _reached(amps):
                             nxt.append(
                                 Branch(br.key + ((pos, value),), {**br.clbits, c: value}, amps)
                             )
                 case Reset(q):
                     keep = _project_bit(br.amps, q, 0, n)
-                    if np.vdot(keep, keep).real > _PRUNE:
+                    if _reached(keep):
                         nxt.append(Branch(br.key + ((pos, 0),), dict(br.clbits), keep))
                     moved = _move_bit_to_zero(br.amps, q, n)
-                    if np.vdot(moved, moved).real > _PRUNE:
+                    if _reached(moved):
                         nxt.append(Branch(br.key + ((pos, 1),), dict(br.clbits), moved))
                 case Conditional(c, gate):
                     if br.clbits.get(c, 0) == 1:
@@ -153,45 +175,22 @@ def enumerate_branches(circ: Circuit, input_state) -> list[Branch]:
                 case _:
                     nxt.append(Branch(br.key, br.clbits, _apply_unitary_op(br.amps, op, n)))
         branches = nxt
-    return branches
+    return [Branch(br.key, br.clbits, br.amps.reshape(shape)) for br in branches]
 
 
 def sample(circ: Circuit, input_state, shots: int, seed: int) -> dict[tuple[int, ...], int]:
-    """Draw measurement records shot by shot; returns clbit-word counts."""
-    rng = np.random.default_rng(seed)
-    amps0 = input_state.amps if isinstance(input_state, StateVector) else np.asarray(input_state)
-    n = circ.num_qubits
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(shots):
-        amps = np.array(amps0, dtype=np.complex128).reshape(-1)
-        clbits: dict[int, int] = {}
-        for op in circ.ops:
-            match op:
-                case Measure(q, c):
-                    p1 = float(np.sum(np.abs(amps[_bit_mask(n, [q])]) ** 2))
-                    value = int(rng.random() < p1)
-                    amps = _project_bit(amps, q, value, n)
-                    amps /= np.linalg.norm(amps)
-                    clbits[c] = value
-                case Reset(q):
-                    p1 = float(np.sum(np.abs(amps[_bit_mask(n, [q])]) ** 2))
-                    if rng.random() < p1:
-                        amps = _move_bit_to_zero(amps, q, n)
-                    else:
-                        amps = _project_bit(amps, q, 0, n)
-                    amps /= np.linalg.norm(amps)
-                case Conditional(c, gate):
-                    if clbits.get(c, 0) == 1:
-                        amps = _apply_unitary_op(amps, gate, n)
-                case _:
-                    amps = _apply_unitary_op(amps, op, n)
-        word = tuple(clbits.get(c, 0) for c in range(circ.num_clbits))
-        counts[word] = counts.get(word, 0) + 1
-    return counts
+    """Draw ``shots`` readouts from the exact distribution; returns
+    clbit-word counts."""
+    dist = clbit_distribution(circ, input_state)
+    words = list(dist)
+    probs = np.array([dist[w] for w in words])
+    draws = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return {w: int(c) for w, c in zip(words, draws) if c}
 
 
 def clbit_distribution(circ: Circuit, input_state) -> dict[tuple[int, ...], float]:
-    """Exact probability of each classical readout word."""
+    """Exact probability of each classical readout word (one per column
+    when ``input_state`` is a batch)."""
     dist: dict[tuple[int, ...], float] = {}
     for br in enumerate_branches(circ, input_state):
         word = br.clbit_word(circ.num_clbits)
@@ -203,12 +202,8 @@ def unitary_matrix(circ: Circuit) -> np.ndarray:
     """Dense matrix of a measurement-free circuit."""
     if not circ.is_unitary_only():
         raise ValueError("circuit contains measurements, resets, or classical control")
-    dim = 1 << circ.num_qubits
-    cols = np.eye(dim, dtype=np.complex128)
-    for op in circ.ops:
-        for j in range(dim):
-            cols[:, j] = _apply_unitary_op(cols[:, j], op, circ.num_qubits)
-    return cols
+    (branch,) = enumerate_branches(circ, np.eye(1 << circ.num_qubits))
+    return branch.amps
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +220,13 @@ class AuxiliaryEntangledError(RuntimeError):
 def induced_superoperator(circ: Circuit, system_qubits) -> list[np.ndarray]:
     """Kraus operators of the channel the circuit applies to the system.
 
-    Auxiliary qubits (everything not in ``system_qubits``) start in |0> and
-    must end, branch by branch, in a state that factors from the system
-    (marginal purity above 1 - 1e-9); otherwise AuxiliaryEntangledError is
-    raised. Returns one Kraus operator per outcome branch, so the channel is
+    The circuit runs once on the batch of all system basis states, with the
+    auxiliary qubits (everything not in ``system_qubits``) in |0>. Branch by
+    branch, the auxiliaries must end in one state that factors from the
+    system: the aux marginal summed over inputs must have purity above
+    1 - 1e-9, and every input's amplitudes must match that state times a
+    system vector to 1e-7; otherwise AuxiliaryEntangledError is raised.
+    Returns one Kraus operator per outcome branch, so the channel is
     rho -> sum_b K_b rho K_b^dagger, marginalized over the auxiliaries.
     """
     system_qubits = list(system_qubits)
@@ -247,44 +245,37 @@ def induced_superoperator(circ: Circuit, system_qubits) -> list[np.ndarray]:
         aux_coord |= (((full_idx >> q) & 1) << pos)
     scatter = aux_coord * dim_s + sys_coord  # position in (aux, sys) layout
 
-    kraus: dict[tuple, np.ndarray] = {}
-    aux_ref: dict[tuple, np.ndarray] = {}
+    # Column x is system basis state x with the auxiliaries in |0>.
+    inputs = np.zeros((1 << n, dim_s), dtype=np.complex128)
+    inputs[full_idx[aux_coord == 0], sys_coord[aux_coord == 0]] = 1.0
 
-    for x in range(dim_s):
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        start = 0
-        for pos, q in enumerate(system_qubits):
-            start |= (((x >> pos) & 1) << q)
-        amps[start] = 1.0
-        for br in enumerate_branches(circ, amps):
-            psi = np.zeros(1 << n, dtype=np.complex128)
-            psi[scatter] = br.amps
-            psi = psi.reshape(1 << na, dim_s)  # [aux, system]
-            if br.key not in aux_ref:
-                # Fix the auxiliary reference state from the dominant
-                # eigenvector of the aux marginal; its phase is pinned so
-                # Kraus columns from different inputs stay consistent.
-                rho_aux = psi @ psi.conj().T
-                tr = np.trace(rho_aux).real
-                purity = float(np.trace(rho_aux @ rho_aux).real) / tr**2
-                if purity < 1.0 - _AUX_PURITY_TOL:
-                    raise AuxiliaryEntangledError(
-                        f"auxiliary purity {purity:.6f} on branch {br.key}"
-                    )
-                w, v = np.linalg.eigh(rho_aux)
-                ref = v[:, -1]
-                pivot = np.argmax(np.abs(ref))
-                ref = ref * np.exp(-1j * np.angle(ref[pivot]))
-                aux_ref[br.key] = ref
-                kraus[br.key] = np.zeros((dim_s, dim_s), dtype=np.complex128)
-            column = aux_ref[br.key].conj() @ psi
-            residual = np.linalg.norm(psi - np.outer(aux_ref[br.key], column))
-            if residual > 1e-7:
-                raise AuxiliaryEntangledError(
-                    f"auxiliary register correlated with the system on branch {br.key} "
-                    f"(residual {residual:.3e})"
-                )
-            kraus[br.key][:, x] = column
+    kraus: dict[tuple, np.ndarray] = {}
+    for br in enumerate_branches(circ, inputs):
+        psi = np.empty_like(br.amps)
+        psi[scatter] = br.amps
+        psi = psi.reshape(1 << na, dim_s * dim_s)  # [aux, (system out, input)]
+        # The auxiliary reference state is the dominant eigenvector of the
+        # aux marginal, its phase pinned (largest entry real and positive)
+        # so the Kraus operators do not depend on the eigensolver's choice.
+        rho_aux = psi @ psi.conj().T
+        tr = np.trace(rho_aux).real
+        purity = float(np.trace(rho_aux @ rho_aux).real) / tr**2
+        if purity < 1.0 - _AUX_PURITY_TOL:
+            raise AuxiliaryEntangledError(f"auxiliary purity {purity:.6f} on branch {br.key}")
+        _, v = np.linalg.eigh(rho_aux)
+        ref = v[:, -1]
+        pivot = np.argmax(np.abs(ref))
+        ref = ref * np.exp(-1j * np.angle(ref[pivot]))
+        column = ref.conj() @ psi
+        residual = np.linalg.norm(
+            (psi - np.outer(ref, column)).reshape(1 << na, dim_s, dim_s), axis=(0, 1)
+        )
+        if residual.max() > 1e-7:
+            raise AuxiliaryEntangledError(
+                f"auxiliary register correlated with the system on branch {br.key} "
+                f"(residual {residual.max():.3e})"
+            )
+        kraus[br.key] = column.reshape(dim_s, dim_s)
 
     return [kraus[key] for key in sorted(kraus)]
 
@@ -307,22 +298,21 @@ def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))) / 2.0)
 
 
-def probe_states(dim: int) -> list[np.ndarray]:
-    """Tomographically complete family of pure-state density matrices:
-    basis states plus two-level real and imaginary superpositions."""
-    probes = []
+def probe_states(dim: int) -> Iterator[np.ndarray]:
+    """Tomographically complete family of pure-state density matrices,
+    yielded one at a time: basis states first, then two-level real and
+    imaginary superpositions."""
     for i in range(dim):
         v = np.zeros(dim, dtype=np.complex128)
         v[i] = 1.0
-        probes.append(np.outer(v, v.conj()))
+        yield np.outer(v, v.conj())
     for i in range(dim):
         for j in range(i + 1, dim):
             for amp in (1.0, 1.0j):
                 v = np.zeros(dim, dtype=np.complex128)
                 v[i] = 1.0 / np.sqrt(2.0)
                 v[j] = amp / np.sqrt(2.0)
-                probes.append(np.outer(v, v.conj()))
-    return probes
+                yield np.outer(v, v.conj())
 
 
 def channel_distance(kraus_a, kraus_b, probes=None) -> float:
@@ -330,7 +320,8 @@ def channel_distance(kraus_a, kraus_b, probes=None) -> float:
 
     Zero exactly when the two channels are equal as maps (the probe family
     spans operator space); used as the diamond-norm proxy for oracle
-    validation.
+    validation. ``probes`` is any iterable of density matrices, consumed
+    once; it defaults to :func:`probe_states`.
     """
     dim = kraus_a[0].shape[0]
     if probes is None:
@@ -344,4 +335,4 @@ def channel_distance(kraus_a, kraus_b, probes=None) -> float:
 def basis_channel_distance(kraus_a, kraus_b) -> float:
     """Max output trace distance over computational-basis inputs only."""
     dim = kraus_a[0].shape[0]
-    return channel_distance(kraus_a, kraus_b, probes=probe_states(dim)[:dim])
+    return channel_distance(kraus_a, kraus_b, probes=itertools.islice(probe_states(dim), dim))

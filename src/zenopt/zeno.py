@@ -304,6 +304,27 @@ class ZenoSchedule:
             lo, hi = ops.spectral_span(mixer)
             return [schedule_theorem1(b, lo, hi, self.delta) for b in betas]
 
+    @classmethod
+    def parse(cls, text: str, delta: float | None = None) -> "ZenoSchedule":
+        """Schedule from its command-line text: ``theorem1``, ``cor1`` or
+        ``cor3`` (bounded by ``delta``), ``eta=VAL`` or ``manual=N1,N2,...``.
+        Raises ValueError."""
+        if text in ("theorem1", "cor1", "cor3"):
+            if delta is None:
+                raise ValueError(f"schedule {text!r} needs --delta")
+            return cls(rule=text, delta=delta)
+        rule, _, value = text.partition("=")
+        try:
+            if rule == "eta":
+                return cls.from_eta(float(value))
+            if rule == "manual":
+                return cls.manual(int(c) for c in value.split(","))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse schedule {text!r}: {exc}") from exc
+        raise ValueError(
+            f"unknown schedule {text!r}: expected theorem1|cor1|cor3|eta=VAL|manual=N1,..."
+        )
+
     def describe(self) -> str:
         if self.rule == "eta":
             return f"eta={self.eta:g}"

@@ -105,11 +105,31 @@ def test_penalty_conflicts_with_schedule():
     ) == 2
 
 
-@pytest.mark.parametrize("cap", ["abc", "0"])
-def test_malformed_qubit_cap_is_a_validation_error(monkeypatch, capsys, cap):
-    monkeypatch.setenv("ZENO_MAX_QUBITS", cap)
-    assert run_cli("run-qaoa", "--generate", "4,7", "--schedule", "eta=0.1") == 2
-    assert "ZENO_MAX_QUBITS" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "cap, source, message",
+    [
+        pytest.param("abc", "4,7", "ZENO_MAX_QUBITS", id="abc"),
+        pytest.param("0", "4,7", "ZENO_MAX_QUBITS", id="0"),
+        pytest.param("3", "4,7", "cap of 3", id="over-cap"),
+        pytest.param("3", "file", "cap of 3", id="over-cap-file"),
+        pytest.param(None, "13,1", "[2, 12]", id="too-many-assets"),
+        pytest.param(None, "1,1", "[2, 12]", id="too-few-assets"),
+    ],
+)
+def test_malformed_qubit_cap_is_a_validation_error(
+    monkeypatch, tmp_path, capsys, cap, source, message
+):
+    """A malformed or exceeded qubit cap, or an asset count outside [2, 12],
+    is a validation error, whether the instance is generated or loaded."""
+    flags = ["--generate", source]
+    if source == "file":
+        path = tmp_path / "instance.json"
+        path.write_text(problems.generate_instance(4, 7).to_json())
+        flags = ["--instance", str(path)]
+    if cap is not None:
+        monkeypatch.setenv("ZENO_MAX_QUBITS", cap)
+    assert run_cli("run-qaoa", *flags, "--schedule", "eta=0.1") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_penalty_run_emits_r_penalty(tmp_path):
@@ -164,6 +184,17 @@ def test_run_lvqe(tmp_path):
     jsonschema.validate(record, record_schema, registry=registry)
     assert record["metrics"]["total_measurements"] == 50.0
     assert record["metrics"]["in_constraint_prob"] > 0.5
+
+
+def test_run_lvqe_default_restarts(tmp_path):
+    out = tmp_path / "lvqe.json"
+    assert run_cli(
+        "run-lvqe", "--generate", "4,7", "--measurements", "5", "--budget", "40",
+        "--jobs", "1", "--out", str(out),
+    ) == 0
+    record = json.loads(out.read_text())
+    assert record["optimizer"]["restarts"] == 20
+    assert record["optimizer"]["n_evaluations"] <= 40
 
 
 def test_sweep_eta_csv(tmp_path):
@@ -241,6 +272,12 @@ def test_sweep_layers(tmp_path):
         "sweep", "layers", "--generate", "4,7", "--layers-grid", "1",
         "--penalty", "1.0", "--schedule", "eta=0.4", "--csv", str(csv_path),
     ) == 2
+    # a malformed or incomplete schedule is a validation error
+    for schedule in ("eta=abc", "cor3"):
+        assert run_cli(
+            "sweep", "layers", "--generate", "4,7", "--layers-grid", "1",
+            "--schedule", schedule, "--csv", str(csv_path),
+        ) == 2
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):

@@ -101,15 +101,3 @@ def test_scaling_table_rows():
     assert by_key[("x", np.pi / 2)] == 93
     assert by_key[("x", 0.0)] == 1
     assert by_key[("cg", np.pi / 2)] == 3  # ceil(2.4674/0.95607)
-
-
-def test_schedule_from_spec():
-    sched = experiments.schedule_from_spec({"rule": "eta", "eta": 0.5}, 2)
-    assert sched.rule == "eta" and sched.eta == 0.5
-    sched = experiments.schedule_from_spec(
-        {"rule": "manual", "counts": [1, 0, 2]}, 3)
-    assert sched.counts == (1, 0, 2)
-    with pytest.raises(ValueError):
-        experiments.schedule_from_spec({"rule": "manual", "counts": [1]}, 3)
-    sched = experiments.schedule_from_spec({"rule": "cor3", "delta": 0.1}, 1)
-    assert sched.delta == 0.1

@@ -26,7 +26,17 @@ from zenopt.oraclesim import (
     unitary_matrix,
     FixedPointPoly,
 )
-from zenopt.oraclesim.circuit import CPhase, Measure, Phase
+from zenopt.oraclesim.circuit import (
+    CNOT,
+    Barrier,
+    Conditional,
+    CPhase,
+    H,
+    Measure,
+    Phase,
+    Reset,
+    X,
+)
 from zenopt.problems import LinearConstraint, Sense
 
 EQ_CONSTRAINT = LinearConstraint((2.0, -1.0, -1.0, 0.0), Sense.EQ, 0.0)
@@ -174,6 +184,60 @@ def test_unitary_only_circuits_are_unitary():
                         circ.cnot(q, t)
             u = unitary_matrix(circ)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << m), atol=1e-10)
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits on up to 4 qubits mixing every op kind, measured or not."""
+    n = draw(st.integers(1, 4))
+    n_clbits = draw(st.integers(1, 2))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(-np.pi, np.pi)
+
+    def gate():
+        kinds = [st.builds(H, qubit), st.builds(X, qubit), st.builds(Phase, qubit, angle)]
+        if n > 1:
+            kinds.append(qubit.flatmap(lambda t: st.builds(
+                CPhase, st.sets(st.integers(0, n - 1).filter(lambda c: c != t),
+                                min_size=1).map(tuple), st.just(t), angle)))
+            kinds.append(qubit.flatmap(lambda c: st.builds(
+                CNOT, st.just(c), qubit.filter(lambda t: t != c))))
+        return st.one_of(kinds)
+
+    clbit = st.integers(0, n_clbits - 1)
+    op = st.one_of(
+        gate(),
+        st.builds(Measure, qubit, clbit),
+        st.builds(Reset, qubit),
+        st.builds(Conditional, clbit, gate()),
+        st.just(Barrier()),
+    )
+    return Circuit(n, n_clbits).extend(draw(st.lists(op, max_size=14)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_circuits(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_batched_enumeration_equals_single_inputs(circ, k, seed):
+    """A k-column batch gives, key by key, each input's own branches; a
+    column whose input never reaches a branch is zero there. Columns are
+    random states or basis states, so inputs reach different branches."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << circ.num_qubits
+    inputs = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    basis = rng.random(k) < 0.5
+    inputs[:, basis] = np.eye(dim)[:, rng.integers(0, dim, basis.sum())]
+    inputs /= np.linalg.norm(inputs, axis=0)
+    batch = {br.key: br for br in enumerate_branches(circ, inputs)}
+    for j in range(k):
+        single = {br.key: br for br in enumerate_branches(circ, inputs[:, j])}
+        assert set(single) <= set(batch)
+        for key, br in batch.items():
+            assert br.amps.shape == (dim, k)
+            if key in single:
+                assert single[key].clbits == br.clbits
+                np.testing.assert_allclose(br.amps[:, j], single[key].amps, rtol=0, atol=1e-12)
+            else:
+                assert np.max(np.abs(br.amps[:, j])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +402,8 @@ def oracle_fixture(kind: str):
         return constraint_measurement_circuit(EQ_CONSTRAINT, 4, 3, qcl=True)
     if kind == "eq":
         return constraint_measurement_circuit(EQ_CONSTRAINT, 4, 3, qcl=False)
+    if kind == "always":  # every x satisfies it
+        return constraint_measurement_circuit(LinearConstraint((1.0, 1.0), Sense.LEQ, 2.0), 2, 3)
     return constraint_measurement_circuit(LEQ_CONSTRAINT, 4, 4)
 
 
@@ -415,6 +481,44 @@ def test_uncompute_bug_is_detected():
     broken.extend(ops[: cut + 1])
     with pytest.raises(AuxiliaryEntangledError):
         induced_superoperator(broken, list(range(4)))
+
+
+def reference_induced_superoperator(circ: Circuit, system_qubits) -> list[np.ndarray]:
+    """Per-input reference: one branch enumeration per system basis state,
+    with the auxiliary state fixed by the first input that reaches a branch."""
+    system_qubits = list(system_qubits)
+    n = circ.num_qubits
+    aux_qubits = [q for q in range(n) if q not in system_qubits]
+    dim_s, dim_a = 1 << len(system_qubits), 1 << len(aux_qubits)
+    full_idx = np.arange(1 << n)
+    sys_coord = sum(((full_idx >> q) & 1) << pos for pos, q in enumerate(system_qubits))
+    aux_coord = sum(((full_idx >> q) & 1) << pos for pos, q in enumerate(aux_qubits))
+    kraus, aux_ref = {}, {}
+    for x in range(dim_s):
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[sum(((x >> pos) & 1) << q for pos, q in enumerate(system_qubits))] = 1.0
+        for br in enumerate_branches(circ, amps):
+            psi = np.zeros((dim_a, dim_s), dtype=complex)
+            psi[aux_coord, sys_coord] = br.amps
+            if br.key not in aux_ref:
+                rho_aux = psi @ psi.conj().T
+                ref = np.linalg.eigh(rho_aux)[1][:, -1]
+                aux_ref[br.key] = ref * np.exp(-1j * np.angle(ref[np.argmax(np.abs(ref))]))
+                kraus[br.key] = np.zeros((dim_s, dim_s), dtype=complex)
+            column = aux_ref[br.key].conj() @ psi
+            assert np.linalg.norm(psi - np.outer(aux_ref[br.key], column)) <= 1e-7
+            kraus[br.key][:, x] = column
+    return [kraus[key] for key in sorted(kraus)]
+
+
+@pytest.mark.parametrize("kind", ["eq-qcl", "eq", "ineq", "always"])
+def test_induced_superoperator_matches_per_input_reference(kind):
+    oracle = oracle_fixture(kind)
+    system = range(oracle.n_system)
+    new = induced_superoperator(oracle.circuit, system)
+    ref = reference_induced_superoperator(oracle.circuit, system)
+    assert len(new) == len(ref)
+    assert channel_distance(ref, new) <= 1e-12
 
 
 @pytest.mark.slow

@@ -350,3 +350,30 @@ def test_zeno_schedule_counts():
         ZenoSchedule(rule="cor3", delta=0.3)
     with pytest.raises(ValueError):
         ZenoSchedule(rule="nope")
+
+
+def test_zeno_schedule_parse():
+    cases = [
+        ("eta=0.5", None, ZenoSchedule.from_eta(0.5)),
+        ("manual=1,0,2", None, ZenoSchedule.manual([1, 0, 2])),
+        ("cor3", 0.1, ZenoSchedule(rule="cor3", delta=0.1)),
+        ("theorem1", 0.05, ZenoSchedule(rule="theorem1", delta=0.05)),
+        ("eta=0.25", 0.1, ZenoSchedule.from_eta(0.25)),  # delta unused
+    ]
+    for text, delta, expected in cases:
+        sched = ZenoSchedule.parse(text, delta)
+        assert sched == expected
+        assert ZenoSchedule.parse(sched.describe().split("(")[0], delta) == sched
+    # manual counts are checked against the layer count when they are used
+    with pytest.raises(ValueError):
+        ZenoSchedule.parse("manual=1").mixer_counts(TransverseField(2), [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "text, delta",
+    [("eta=abc", None), ("eta=-1", None), ("manual=1,x", None), ("cor1", None),
+     ("cor3", 0.3), ("bogus", 0.1), ("theorem1=0.1", 0.1)],
+)
+def test_zeno_schedule_parse_rejects(text, delta):
+    with pytest.raises(ValueError):
+        ZenoSchedule.parse(text, delta)
