@@ -400,10 +400,11 @@ def verify_oracle_circuit(
         expected = oracle.expected_word(x)
         prob = dist[expected][x] if expected in dist else 0.0
         if abs(prob - 1.0) > 1e-9:
-            got = max(dist, key=lambda word: dist[word][x])
+            other = max((word for word in dist if word != expected), key=lambda word: dist[word][x])
             raise CliError(
                 f"verification failed at input x={x:0{n}b} (bits x1..xn right-to-left): "
-                f"expected readout {expected}, got {got} with probability {dist[got][x]:.6f}",
+                f"expected readout {expected} has probability {prob:.6f}; "
+                f"most likely other readout {other} has probability {dist[other][x]:.6f}",
                 code=EXIT_VERIFICATION,
             )
     try:

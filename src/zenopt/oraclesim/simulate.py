@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..operators import Measurement
-from ..qcore import StateVector, _apply_1q
+from ..qcore import StateVector, _apply_block
 from .circuit import (
     CNOT,
     Barrier,
@@ -61,7 +61,7 @@ def _apply_unitary_op(amps: np.ndarray, op: Op, n: int) -> np.ndarray:
     """Apply a gate to every column of the ``(2^n, k)`` array ``amps``."""
     match op:
         case H(q):
-            return _apply_1q(amps, _H2, q, n, 1, amps.shape[1])
+            return _apply_block(amps, _H2, q, amps.shape[1])
         case X(q):
             idx = np.arange(1 << n)
             return amps[idx ^ (1 << q)]

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -365,19 +366,20 @@ def test_compile_oracle_rejects_overflow():
     ) == 2
 
 
-def test_compile_oracle_detects_corrupted_circuit(tmp_path, capsys):
+def _check_edited_oracle(tmp_path, capsys, shift):
+    """Emit the README oracle, shift its first controlled phase by ``shift``,
+    and return the exit code and stderr of ``--check-file`` on it."""
     path = tmp_path / "oracle.txt"
     assert run_cli(
         "compile-oracle", "--constraint", "2,-1,-1,0 EQ 0", "--precision", "3",
         "--emit", str(path),
     ) == 0
     capsys.readouterr()
-    # corrupt one rotation angle
     lines = path.read_text().splitlines()
     for i, line in enumerate(lines):
         if line.startswith("CP"):
             parts = line.split()
-            parts[-1] = repr(float(parts[-1]) + 0.4)
+            parts[-1] = repr(float(parts[-1]) + shift)
             lines[i] = " ".join(parts)
             break
     path.write_text("\n".join(lines) + "\n")
@@ -385,6 +387,28 @@ def test_compile_oracle_detects_corrupted_circuit(tmp_path, capsys):
         "compile-oracle", "--constraint", "2,-1,-1,0 EQ 0", "--precision", "3",
         "--check-file", str(path),
     )
+    return code, capsys.readouterr().err
+
+
+def test_compile_oracle_detects_corrupted_circuit(tmp_path, capsys):
+    code, err = _check_edited_oracle(tmp_path, capsys, 0.4)
     assert code == 4
-    err = capsys.readouterr().err
     assert "verification failed" in err and "input x=" in err
+
+
+def test_verification_message_names_a_different_readout(tmp_path, capsys):
+    # A small edit leaves the expected readout the most likely one; the
+    # message must still name a different readout as the competitor.
+    code, err = _check_edited_oracle(tmp_path, capsys, 0.05)
+    assert code == 4
+    match = re.search(
+        r"input x=(\d+) .*expected readout (\(.*?\)) has probability ([\d.]+); "
+        r"most likely other readout (\(.*?\)) has probability ([\d.]+)",
+        err,
+    )
+    assert match, err
+    x, expected, p_expected, other, p_other = match.groups()
+    assert x == "0001"
+    assert other != expected
+    assert 0.99 < float(p_expected) < 1.0
+    assert 0.0 < float(p_other) <= 1.0 - float(p_expected) + 1e-6

@@ -1,5 +1,7 @@
 """State and evolution primitives: closed forms against dense oracles."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,20 +253,32 @@ def test_apply_evolution_matches_expm(case, kind, angle):
     np.testing.assert_allclose(_dense(out), expected, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    evolution_cases,
-    st.lists(st.sampled_from(GENERATOR_KINDS), min_size=1, max_size=3),
-    st.integers(min_value=0, max_value=4),
-)
-def test_zeno_block_matches_expm_and_projector_loop(case, kinds, n_measurements):
-    rng = np.random.default_rng(case["seed"])
-    n = case["n"]
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_transverse_field_multi_group_matches_reference(n, mixed):
+    # Above six qubits the x mixer is applied as several Kronecker blocks;
+    # n = 7 and 9 split unevenly.
+    rng = np.random.default_rng(100 + 2 * n + mixed)
+    gen = TransverseField(n)
+    angle = float(rng.uniform(-3.0, 3.0))
+    if n <= 9:
+        u = expm(-1j * angle * gen.materialize())
+    else:
+        rx = np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        u = reduce(np.kron, [rx] * n)
+    state = _random_state(n, mixed, rng)
+    rho = _dense(state)
+    out = apply_evolution(state, gen, angle)
+    np.testing.assert_allclose(_dense(out), u @ rho @ u.conj().T, rtol=0, atol=1e-12)
+
+
+def _check_zeno_block(n, mixed, seed, kinds, n_measurements):
+    rng = np.random.default_rng(seed)
     gens = [(_random_generator(k, n, rng), float(rng.uniform(-3.0, 3.0))) for k in kinds]
     inside = rng.random(1 << n) < 0.5
     feasible = Projector(n, np.flatnonzero(inside))
     m = Measurement.two_outcome(feasible)
-    state = _random_state(n, case["mixed"], rng)
+    state = _random_state(n, mixed, rng)
 
     steps = max(1, n_measurements)
     us = [expm(-1j * angle / steps * g.materialize()) for g, angle in gens]
@@ -278,3 +292,17 @@ def test_zeno_block_matches_expm_and_projector_loop(case, kinds, n_measurements)
 
     out = zeno_block(state, gens, m, n_measurements)
     np.testing.assert_allclose(_dense(out), rho, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    evolution_cases,
+    st.lists(st.sampled_from(GENERATOR_KINDS), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=4),
+)
+def test_zeno_block_matches_expm_and_projector_loop(case, kinds, n_measurements):
+    _check_zeno_block(case["n"], case["mixed"], case["seed"], kinds, n_measurements)
+
+
+def test_zeno_block_multi_group_x_mixer():
+    _check_zeno_block(7, True, 7, ["diag", "x"], 3)
