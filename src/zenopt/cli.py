@@ -416,7 +416,8 @@ def verify_oracle_circuit(
     if dist_fine > 1e-9:
         raise CliError(
             f"verification failed: induced channel deviates from the matrix-level "
-            f"measurement by {dist_fine:.3e}",
+            f"measurement by {dist_fine:.3e} (half the trace norm of the Choi-matrix "
+            f"difference)",
             code=EXIT_VERIFICATION,
         )
     coarse = sim_mod.measurement_kraus(oracle.feasibility_measurement())

@@ -27,7 +27,6 @@ from .simulate import (
     enumerate_branches,
     induced_superoperator,
     measurement_kraus,
-    probe_states,
     sample,
     unitary_matrix,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "from_twos_complement",
     "induced_superoperator",
     "measurement_kraus",
-    "probe_states",
     "qft_circuit",
     "sample",
     "semiclassical_inverse_qft",

@@ -16,13 +16,15 @@ circuit into the quantum channel it applies to the system register by
 running the circuit once on every system basis state (auxiliaries in |0>)
 and reading one Kraus operator per outcome branch off that batch. That is
 what lets a gate-level oracle be compared, as a map, against a matrix-level
-measurement family.
+measurement family: ``channel_distance`` is half the trace norm of the
+difference of the two Choi matrices, (1/2)||J_a - J_b||_1, computed in
+closed form from the Gram matrices of the two Kraus families. It bounds the
+diamond distance from above (Watrous, The Theory of Quantum Information,
+2018, ch. 3) and is zero only for equal channels.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,47 +294,36 @@ def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    diff = (diff + diff.conj().T) / 2.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))) / 2.0)
+def _gram_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the trace norm of A A^dagger - B B^dagger, for column stacks
+    ``a`` and ``b`` of shape ``(..., m, k_a)`` and ``(..., m, k_b)``.
 
-
-def probe_states(dim: int) -> Iterator[np.ndarray]:
-    """Tomographically complete family of pure-state density matrices,
-    yielded one at a time: basis states first, then two-level real and
-    imaginary superpositions."""
-    for i in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[i] = 1.0
-        yield np.outer(v, v.conj())
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for amp in (1.0, 1.0j):
-                v = np.zeros(dim, dtype=np.complex128)
-                v[i] = 1.0 / np.sqrt(2.0)
-                v[j] = amp / np.sqrt(2.0)
-                yield np.outer(v, v.conj())
-
-
-def channel_distance(kraus_a, kraus_b, probes=None) -> float:
-    """Max output trace distance over a spanning family of input states.
-
-    Zero exactly when the two channels are equal as maps (the probe family
-    spans operator space); used as the diamond-norm proxy for oracle
-    validation. ``probes`` is any iterable of density matrices, consumed
-    once; it defaults to :func:`probe_states`.
+    With [A | B] = Q [R_a | R_b], the difference is Q (R_a R_a^dagger -
+    R_b R_b^dagger) Q^dagger, so its nonzero spectrum is that of a Hermitian
+    matrix of size at most k_a + k_b.
     """
-    dim = kraus_a[0].shape[0]
-    if probes is None:
-        probes = probe_states(dim)
-    worst = 0.0
-    for rho in probes:
-        worst = max(worst, _trace_distance(apply_kraus(kraus_a, rho), apply_kraus(kraus_b, rho)))
-    return worst
+    r = np.linalg.qr(np.concatenate([a, b], axis=-1), mode="r")
+    ra, rb = r[..., : a.shape[-1]], r[..., a.shape[-1]:]
+    diff = ra @ ra.conj().swapaxes(-1, -2) - rb @ rb.conj().swapaxes(-1, -2)
+    return np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1) / 2.0
+
+
+def channel_distance(kraus_a, kraus_b) -> float:
+    """Half the trace norm of the Choi-matrix difference, (1/2)||J_a - J_b||_1.
+
+    J = sum_k |K_k>><<K_k| is the unnormalized Choi matrix of the Kraus
+    family. The value bounds the diamond distance (1/2)||Phi_a - Phi_b||_<>
+    from above, and with it the output trace distance of every input state,
+    and it is zero only when the two channels are equal as maps.
+    """
+    a, b = np.stack(kraus_a, axis=-1), np.stack(kraus_b, axis=-1)
+    return float(_gram_distance(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])))
 
 
 def basis_channel_distance(kraus_a, kraus_b) -> float:
-    """Max output trace distance over computational-basis inputs only."""
-    dim = kraus_a[0].shape[0]
-    return channel_distance(kraus_a, kraus_b, probes=itertools.islice(probe_states(dim), dim))
+    """Max output trace distance over computational-basis inputs only.
+
+    The output for basis input i is sum_k K_k[:, i] K_k[:, i]^dagger.
+    """
+    a, b = np.stack(kraus_a, axis=-1), np.stack(kraus_b, axis=-1)
+    return float(np.max(_gram_distance(a.swapaxes(0, 1), b.swapaxes(0, 1))))

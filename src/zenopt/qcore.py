@@ -202,21 +202,25 @@ def as_density(state: State) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1):
+def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1, out=None):
     """Apply the ``2^k x 2^k`` matrix ``u`` to qubits ``q .. q+k-1`` of the
-    ``2^n`` axis of ``arr`` viewed as ``(pre, 2^n, post)``; returns a new
-    array of ``arr``'s shape."""
+    ``2^n`` axis of ``arr`` viewed as ``(pre, 2^n, post)``. The result goes
+    into ``out`` when that is a C-contiguous array of ``arr``'s shape that
+    does not overlap it, else into a new array; returns the result."""
     size = u.shape[0]
     inner = (1 << q) * post
+    if out is None or not out.flags.c_contiguous:
+        out = np.empty(arr.shape, dtype=np.result_type(arr, u))
     if inner > 1:
-        view = arr.reshape(-1, size, inner)
-        return np.matmul(u, view).reshape(arr.shape)
+        np.matmul(u, arr.reshape(-1, size, inner), out=out.reshape(-1, size, inner))
+        return out
     # The block sits on the fastest axis. One tall (arr.size / 2^k, 2^k)
     # product raised the peak memory of a 10-qubit density-matrix step by a
     # full extra copy under two OpenBLAS threads, so stack pieces of at most
     # 2^k rows instead.
-    rows = arr.size // size
-    return np.matmul(arr.reshape(-1, min(rows, size), size), u.T).reshape(arr.shape)
+    shape = (-1, min(arr.size // size, size), size)
+    np.matmul(arr.reshape(shape), u.T, out=out.reshape(shape))
+    return out
 
 
 class Generator:
@@ -225,7 +229,8 @@ class Generator:
     Its kernel: ``_propagator(angle)`` gives exp(-i*angle*G) in a compact
     form whose elementwise conjugate is the conjugate propagator's form, and
     ``_evolve(arr, prop, pre, post)`` applies a form along the middle axis of
-    ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result.
+    ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result, which may
+    overwrite ``arr``.
     """
 
     n: int
@@ -302,13 +307,17 @@ class TransverseField(Generator):
     def _evolve(self, arr, u, pre, post):
         # Entry (a, b) of the k-fold power of [[c, m], [m, c]] is
         # c^(k-w) * m^w with w the Hamming distance between a and b.
+        # From the second group on, each product goes into the buffer that
+        # the group before last has finished reading (the input, like the
+        # diagonal kernel, is overwritten), so a step holds one extra array.
         c, m = u[0, 0], u[0, 1]
         blocks = {}
+        spare = None
         for q, k in self._groups:
             if k not in blocks:
                 w = np.arange(k + 1)
                 blocks[k] = (c ** (k - w) * m ** w)[self._hamming[: 1 << k, : 1 << k]]
-            arr = _apply_block(arr, blocks[k], q, post)
+            spare, arr = arr, _apply_block(arr, blocks[k], q, post, out=spare)
         return arr
 
 

@@ -354,6 +354,17 @@ def test_compile_oracle_verify_and_emit(tmp_path, capsys):
     ) == 0
 
 
+def test_compile_oracle_verifies_seven_variable_oracle(capsys):
+    # 11 qubits: 7 system variables and a 4-bit value register.
+    assert run_cli(
+        "compile-oracle", "--constraint", "1,1,1,1,1,1,1 LEQ 3", "--precision", "4",
+        "--verify",
+    ) == 0
+    text = capsys.readouterr().out
+    assert "verification passed" in text
+    assert "11 (7 system + 4 auxiliary)" in text
+
+
 def test_compile_oracle_rejects_all_zero_coeffs():
     assert run_cli(
         "compile-oracle", "--constraint", "0,0 EQ 0", "--precision", "3",

@@ -1,5 +1,7 @@
 """Circuit IR, exact simulation, Fourier arithmetic, and oracle equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from zenopt.oraclesim import (
     unitary_matrix,
     FixedPointPoly,
 )
+from zenopt.oraclesim.simulate import apply_kraus
 from zenopt.oraclesim.circuit import (
     CNOT,
     Barrier,
@@ -521,13 +524,88 @@ def test_induced_superoperator_matches_per_input_reference(kind):
     assert channel_distance(ref, new) <= 1e-12
 
 
+def reference_probe_states(dim: int):
+    """Tomographically complete family of pure-state density matrices,
+    yielded one at a time: basis states first, then two-level real and
+    imaginary superpositions."""
+    for i in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        yield np.outer(v, v.conj())
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for amp in (1.0, 1.0j):
+                v = np.zeros(dim, dtype=complex)
+                v[i] = 1.0 / np.sqrt(2.0)
+                v[j] = amp / np.sqrt(2.0)
+                yield np.outer(v, v.conj())
+
+
+def reference_channel_distance(kraus_a, kraus_b, probes=None) -> float:
+    """Probe-loop reference: the largest output trace distance over
+    ``probes`` (default: every state of :func:`reference_probe_states`)."""
+    if probes is None:
+        probes = reference_probe_states(kraus_a[0].shape[0])
+    worst = 0.0
+    for rho in probes:
+        diff = apply_kraus(kraus_a, rho) - apply_kraus(kraus_b, rho)
+        diff = (diff + diff.conj().T) / 2.0
+        worst = max(worst, float(np.sum(np.abs(np.linalg.eigvalsh(diff))) / 2.0))
+    return worst
+
+
+def reference_basis_channel_distance(kraus_a, kraus_b) -> float:
+    dim = kraus_a[0].shape[0]
+    return reference_channel_distance(
+        kraus_a, kraus_b, itertools.islice(reference_probe_states(dim), dim))
+
+
+@pytest.mark.parametrize("kind", ["eq-qcl", "eq", "ineq", "always"])
+def test_channel_distance_bounds_probe_reference(kind):
+    """The Choi trace distance is at least every probe's trace distance, so
+    it passes the 1e-9 gate only where the probe loop does. The README
+    oracles are the "eq-qcl" and "ineq" fixtures."""
+    oracle = oracle_fixture(kind)
+    kraus = induced_superoperator(oracle.circuit, range(oracle.n_system))
+    fine = measurement_kraus(oracle.induced_partition())
+    new, ref = channel_distance(kraus, fine), reference_channel_distance(kraus, fine)
+    assert new >= ref - 1e-15
+    assert max(new, ref) < 1e-9
+    coarse = measurement_kraus(oracle.feasibility_measurement())
+    assert basis_channel_distance(kraus, coarse) == pytest.approx(
+        reference_basis_channel_distance(kraus, coarse), abs=1e-12)
+    # One column of one Kraus operator rephased: a different channel.
+    bad = [k.copy() for k in kraus]
+    bad[0][:, np.argmax(np.linalg.norm(bad[0], axis=0))] *= 1j
+    assert min(channel_distance(bad, fine), reference_channel_distance(bad, fine)) > 1e-9
+
+
+def random_kraus(rng, dim: int, count: int) -> list[np.ndarray]:
+    """A random trace-preserving Kraus family: the blocks of an isometry."""
+    g = rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
+    return list(np.linalg.qr(g)[0].reshape(count, dim, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_channel_distance_on_random_channels(dim, count_a, count_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_kraus(rng, dim, count_a), random_kraus(rng, dim, count_b)
+    assert channel_distance(a, b) >= reference_channel_distance(a, b) - 1e-12
+    assert basis_channel_distance(a, b) == pytest.approx(
+        reference_basis_channel_distance(a, b), abs=1e-12)
+    # K'_j = sum_k U_jk K_k for a unitary U is the same channel.
+    z = rng.standard_normal((count_a, count_a)) + 1j * rng.standard_normal((count_a, count_a))
+    mixed = list(np.tensordot(np.linalg.qr(z)[0], np.array(a), axes=1))
+    assert channel_distance(a, mixed) <= 1e-12
+
+
 @pytest.mark.slow
 def test_gate_level_measured_qaoa_matches_matrix_level():
     """End-to-end cross-validation: a one-layer measured QAOA evolution with
     the measurement realized by the gate-level oracle channel equals the
     matrix-level run with the oracle's induced measurement family."""
     from zenopt import ansatz, experiments, problems, zeno
-    from zenopt.oraclesim.simulate import apply_kraus
     from zenopt.qcore import TransverseField, apply_evolution, as_density
 
     inst = problems.generate_instance(4, 7, problems.InstanceConfig(budget=2))

@@ -1,5 +1,6 @@
 """State and evolution primitives: closed forms against dense oracles."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_transverse_field_multi_group_matches_reference(n, mixed):
     rho = _dense(state)
     out = apply_evolution(state, gen, angle)
     np.testing.assert_allclose(_dense(out), u @ rho @ u.conj().T, rtol=0, atol=1e-12)
+
+
+def test_transverse_field_density_step_holds_one_extra_matrix():
+    # From the second qubit group on, each product is written into the
+    # buffer the group before last has finished with, so a two-group
+    # density-matrix step allocates one extra matrix, not three.
+    n = 8
+    gen = TransverseField(n)
+    state = _random_state(n, True, np.random.default_rng(8))
+    fortran = DensityMatrix(np.asfortranarray(state.mat), copy=False, validate=False)
+    tracemalloc.start()
+    try:
+        apply_evolution(state, gen, 0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * state.mat.nbytes
+    # An input whose layout cannot take a product in place evolves the same.
+    np.testing.assert_allclose(apply_evolution(fortran, gen, 0.37).mat, state.mat, rtol=0, atol=1e-15)
 
 
 def _check_zeno_block(n, mixed, seed, kinds, n_measurements):
