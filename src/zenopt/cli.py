@@ -453,7 +453,7 @@ def cmd_compile_oracle(args) -> int:
 
     counts = oracle_mod.count_resources(circuit)
     print(f"kind: {oracle.kind}")
-    print(f"qubits: {counts.num_qubits} ({oracle.n_system} system + {len(oracle.aux_qubits)} auxiliary)")
+    print(f"qubits: {counts.num_qubits} ({oracle.n_system} system + {counts.num_qubits - oracle.n_system} auxiliary)")
     print(f"classical bits: {counts.num_clbits}")
     print(f"success readout: {oracle.success_readout}")
     print(f"gate counts: {json.dumps(counts.gate_counts, sort_keys=True)}")

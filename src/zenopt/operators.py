@@ -6,13 +6,15 @@ measurement then amounts to zeroing the cross-block entries of a density
 matrix, which is O(4^n) instead of a chain of matrix products.
 
 Bit order is little-endian throughout the package: bit ``j`` of an integer
-index is variable ``x_{j+1}``. Predicates, oracles, and the gate-level
-circuit module all share this convention.
+index is variable ``x_{j+1}``. :func:`bit_matrix` spells the convention out
+as one table, from which constraints, objectives and oracle readouts are
+computed for every basis state at once; the gate-level circuit module
+shares it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,9 +29,11 @@ from .qcore import (
 )
 
 
-def bits_of(index: int, n: int) -> tuple[int, ...]:
-    """Little-endian bit tuple of a basis index: entry j is x_{j+1}."""
-    return tuple((index >> j) & 1 for j in range(n))
+def bit_matrix(n: int) -> np.ndarray:
+    """The ``(2^n, n)`` bit table: row ``idx`` holds the little-endian bits of
+    basis index ``idx`` (entry ``j`` is x_{j+1}), as floats."""
+    idx = np.arange(1 << n)
+    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
 
 
 class Projector:
@@ -59,9 +63,6 @@ class Projector:
     def is_full(self) -> bool:
         return self.indices.size == self.dim
 
-    def contains(self, index: int) -> bool:
-        return bool(np.isin(index, self.indices))
-
     def mask(self) -> np.ndarray:
         out = np.zeros(self.dim, dtype=bool)
         out[self.indices] = True
@@ -84,17 +85,6 @@ class Projector:
 
     def __repr__(self) -> str:
         return f"Projector(n={self.n}, rank={self.rank})"
-
-
-def projector_from_predicate(n: int, pred: Callable[[tuple[int, ...]], bool]) -> Projector:
-    """Projector onto the basis states whose bit tuples satisfy ``pred``.
-
-    An empty result is allowed as a value; downstream consumers that need a
-    non-trivial feasible set (initial-state preparation) reject it there.
-    """
-    n = check_num_qubits(n)
-    indices = [x for x in range(1 << n) if pred(bits_of(x, n))]
-    return Projector(n, indices)
 
 
 def complement(p: Projector) -> Projector:

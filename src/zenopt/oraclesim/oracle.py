@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def constraint_value_poly(c: LinearConstraint, n: int, m: int) -> FixedPointPoly
         raise OverflowError(
             f"constraint values span [{lo:g}, {hi:g}], outside {m}-bit two's complement"
         )
-    return FixedPointPoly.from_integer_terms(terms, m)
+    return FixedPointPoly(terms, m)
 
 
 @dataclass(frozen=True)
@@ -127,35 +128,40 @@ class ConstraintOracle:
             return word[0] == 0
         return all(b == 0 for b in word)
 
-    def expected_word(self, x: int) -> tuple[int, ...]:
-        """Classical readout for basis input x (little-endian value bits for
-        equalities, the sign bit alone for inequalities)."""
-        bits = [(x >> j) & 1 for j in range(self.n_system)]
-        v = self.poly.loaded_integer(bits)
-        value_bits = tuple((v >> j) & 1 for j in range(self.precision))
+    @cached_property
+    def readouts(self) -> np.ndarray:
+        """Classical readout word of every basis input, row x for input x:
+        the little-endian value bits for equalities, the sign bit alone for
+        inequalities."""
+        values = self.poly.loaded_integers(ops.bit_matrix(self.n_system))
+        words = (values[:, None] >> np.arange(self.precision)) & 1
         if self.kind == "inequality":
-            return (value_bits[-1],)
-        return value_bits
+            words = words[:, -1:]
+        words.setflags(write=False)
+        return words
+
+    def expected_word(self, x: int) -> tuple[int, ...]:
+        """Classical readout for basis input x: row x of :attr:`readouts`."""
+        return tuple(self.readouts[x].tolist())
 
     def induced_partition(self) -> ops.Measurement:
         """Matrix-level measurement the circuit realizes: basis states grouped
-        by their classical readout word. For inequalities this is exactly the
-        two-outcome feasible/infeasible split; measuring the whole register
-        refines the infeasible block by violation value."""
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for x in range(1 << self.n_system):
-            groups.setdefault(self.expected_word(x), []).append(x)
-        projs = [ops.Projector(self.n_system, idx) for _, idx in sorted(groups.items())]
-        if len(projs) == 1:
+        by their classical readout word, in lexicographic word order. For
+        inequalities this is exactly the two-outcome feasible/infeasible
+        split; measuring the whole register refines the infeasible block by
+        violation value."""
+        words, group = np.unique(self.readouts, axis=0, return_inverse=True)
+        if len(words) == 1:
             return ops.Measurement.trivial(self.n_system)
-        return ops.Measurement(projs)
+        # The shape of the inverse differs between numpy 2.x releases.
+        group = group.reshape(-1)
+        return ops.Measurement(
+            [ops.Projector(self.n_system, np.flatnonzero(group == k)) for k in range(len(words))]
+        )
 
     def feasibility_measurement(self) -> ops.Measurement:
-        feas = ops.projector_from_predicate(
-            self.n_system,
-            lambda bits: self.constraint.satisfied(np.asarray(bits, dtype=np.float64)),
-        )
-        return ops.Measurement.two_outcome(feas)
+        feas = self.constraint.satisfied(ops.bit_matrix(self.n_system))
+        return ops.Measurement.two_outcome(ops.Projector(self.n_system, np.flatnonzero(feas)))
 
 
 def constraint_measurement_circuit(

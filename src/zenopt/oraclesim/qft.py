@@ -11,15 +11,16 @@ integers in [-2^(m-1), 2^(m-1)), with the top bit as the sign. A polynomial
 over bits is loaded by one phase bank per term: the bank writes the term's
 contribution onto every register qubit, controlled on the term's variables,
 and an inverse QFT turns the accumulated phases back into a readable value.
-For integer coefficients every bank angle is an exact dyadic multiple of pi,
-so integer-valued polynomials load exactly (no 2^-m rounding).
+Coefficients are integers, so every bank angle is an exact dyadic multiple
+of pi and the polynomial loads exactly (no 2^-m rounding).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
+
+import numpy as np
 
 from .circuit import Circuit, CPhase, H, Op, Phase, inverted
 
@@ -80,54 +81,38 @@ def qft_circuit(m: int, inverse: bool = False, with_swaps: bool = True) -> Circu
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point polynomials over bits
+# Integer polynomials over bits
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FixedPointPoly:
-    """g(b) = sum_k d_k * prod_{l in S_k} b_l, with a scale factor mapping
-    values into the representable phase range [-1/2, 1/2).
+    """g(b) = sum_k d_k * prod_{l in S_k} b_l with integer coefficients d_k,
+    loaded into a ``precision``-bit two's-complement register.
 
     ``terms`` pairs each coefficient with the (possibly empty) set of
-    variable indices it multiplies. For integer arithmetic the scale is
-    exactly 2^-precision and the register reads the value itself.
+    variable indices it multiplies. Every value of g over the Boolean cube
+    fits the register, so the register reads the value itself.
     """
 
-    terms: tuple[tuple[float, frozenset[int]], ...]
+    terms: tuple[tuple[int, frozenset[int]], ...]
     precision: int
-    scale: float
 
     def __post_init__(self):
-        terms = tuple((float(d), frozenset(int(v) for v in s)) for d, s in self.terms)
+        for d, _ in self.terms:
+            if abs(d - round(d)) > 1e-12:
+                raise ValueError(f"coefficient {d} is not an integer")
+        terms = tuple((int(round(d)), frozenset(int(v) for v in s)) for d, s in self.terms)
         object.__setattr__(self, "terms", terms)
         if self.precision < 1:
             raise ValueError("precision must be at least one bit")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         lo, hi = self.value_bounds()
-        if self.scale * lo < -0.5 - 1e-12 or self.scale * hi >= 0.5 - 1e-12:
+        half = 1 << (self.precision - 1)
+        if lo < -half or hi >= half:
             raise ValueError(
-                f"scaled range [{self.scale * lo:.4f}, {self.scale * hi:.4f}] "
-                "exceeds the representable phase range [-1/2, 1/2)"
+                f"values span [{lo}, {hi}], outside the {self.precision}-bit "
+                f"two's-complement range [{-half}, {half - 1}]"
             )
-
-    @classmethod
-    def from_integer_terms(cls, terms, precision: int) -> "FixedPointPoly":
-        for d, _ in terms:
-            if abs(d - round(d)) > 1e-12:
-                raise ValueError(f"coefficient {d} is not an integer")
-        return cls(
-            terms=tuple((float(round(d)), frozenset(s)) for d, s in terms),
-            precision=precision,
-            scale=1.0 / (1 << precision),
-        )
-
-    @property
-    def integer_valued(self) -> bool:
-        return all(abs(d - round(d)) < 1e-12 for d, _ in self.terms) and (
-            self.scale == 1.0 / (1 << self.precision)
-        )
 
     @property
     def num_terms(self) -> int:
@@ -136,42 +121,31 @@ class FixedPointPoly:
     def max_variable(self) -> int:
         return max((max(s) for _, s in self.terms if s), default=-1)
 
-    def value_bounds(self) -> tuple[float, float]:
+    def value_bounds(self) -> tuple[int, int]:
         """Interval bound on g over the Boolean cube: each monomial ranges
         over {0, d} (or is the constant d for an empty support)."""
-        lo = hi = 0.0
+        lo = hi = 0
         for d, s in self.terms:
             if s:
-                lo += min(d, 0.0)
-                hi += max(d, 0.0)
+                lo += min(d, 0)
+                hi += max(d, 0)
             else:
                 lo += d
                 hi += d
         return lo, hi
 
-    def evaluate(self, bits: Sequence[int]) -> float:
-        total = 0.0
+    def loaded_integers(self, bits: np.ndarray) -> np.ndarray:
+        """Register content for every row of the bit table ``bits`` (see
+        :func:`zenopt.operators.bit_matrix`): g(b) reduced mod 2^m."""
+        values = np.zeros(len(bits), dtype=np.int64)
         for d, s in self.terms:
-            if all(bits[v] for v in s):
-                total += d
-        return total
+            values += d * bits[:, sorted(s)].all(axis=1)
+        return values % (1 << self.precision)
 
-    def loaded_integer(self, bits: Sequence[int]) -> int:
-        """Register content for input ``bits``: round(g * scale * 2^m),
-        reduced mod 2^m. Exact for integer-valued polynomials."""
-        m = self.precision
-        return round(self.evaluate(bits) * self.scale * (1 << m)) % (1 << m)
-
-    def bank_angle(self, d: float, register_bit: int) -> float:
-        """Phase written by coefficient ``d`` onto value bit ``register_bit``.
-
-        Integer coefficients give the exact dyadic angle -pi*d / 2^(m-1-j);
-        the general case falls back to -2*pi*2^j*d*scale.
-        """
-        j = register_bit
-        if self.integer_valued:
-            return -math.pi * round(d) / (1 << (self.precision - 1 - j))
-        return -2.0 * math.pi * (1 << j) * d * self.scale
+    def bank_angle(self, d: int, register_bit: int) -> float:
+        """Phase written by coefficient ``d`` onto value bit ``register_bit``:
+        the exact dyadic angle -pi*d / 2^(m-1-j)."""
+        return -math.pi * d / (1 << (self.precision - 1 - register_bit))
 
 
 def bank_ops_for_bit(poly: FixedPointPoly, register_bit: int, target: int) -> list[Op]:

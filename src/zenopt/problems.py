@@ -46,16 +46,17 @@ class LinearConstraint:
         if not any(c != 0.0 for c in self.coeffs):
             raise ValueError("constraint coefficients are all zero")
 
-    def satisfied(self, x: np.ndarray) -> bool:
-        return bool(self._holds(float(np.dot(self.coeffs, x))))
-
-    def _holds(self, lhs):
-        """The sense test on coeffs . x, to 1e-9; elementwise on arrays."""
+    def satisfied(self, x):
+        """The sense test on coeffs . x, to 1e-9: a bool for one bit vector,
+        a boolean array with one entry per row for a bit matrix."""
+        lhs = np.asarray(x, dtype=np.float64) @ np.asarray(self.coeffs)
         if self.sense == Sense.EQ:
-            return np.abs(lhs - self.rhs) <= 1e-9
-        if self.sense == Sense.LEQ:
-            return lhs <= self.rhs + 1e-9
-        return lhs >= self.rhs - 1e-9
+            holds = np.abs(lhs - self.rhs) <= 1e-9
+        elif self.sense == Sense.LEQ:
+            holds = lhs <= self.rhs + 1e-9
+        else:
+            holds = lhs >= self.rhs - 1e-9
+        return bool(holds) if holds.ndim == 0 else holds
 
     def slack_form(self) -> tuple[np.ndarray, float]:
         """Rewrite as g(x) >= 0 (or g(x) = 0 for equalities): returns (a, c)
@@ -116,7 +117,7 @@ class PortfolioInstance:
 
     @cached_property
     def _bits(self) -> np.ndarray:
-        return _bit_matrix(self.n)
+        return ops.bit_matrix(self.n)
 
     @cached_property
     def _objective(self) -> np.ndarray:
@@ -129,7 +130,7 @@ class PortfolioInstance:
     def _feasible(self) -> ops.Projector:
         mask = np.ones(1 << self.n, dtype=bool)
         for c in self.constraints:
-            mask &= c._holds(self._bits @ np.asarray(c.coeffs))
+            mask &= c.satisfied(self._bits)
         return ops.Projector(self.n, np.flatnonzero(mask))
 
     # -- serialization -----------------------------------------------------
@@ -176,12 +177,6 @@ def objective_value(inst: PortfolioInstance, x) -> float:
     return inst.objective_value(x)
 
 
-def _bit_matrix(n: int) -> np.ndarray:
-    """Row ``idx`` holds the little-endian bits of basis index ``idx``."""
-    idx = np.arange(1 << n)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Seeded instance generation
 # ---------------------------------------------------------------------------
@@ -217,8 +212,8 @@ def generate_instance(
     constraints = [LinearConstraint((1.0,) * n, Sense.LEQ, float(budget))]
 
     if cfg.return_constraint:
-        x = _bit_matrix(n)
-        returns = (x @ mu)[x.sum(axis=1) <= budget + 1e-9]
+        x = ops.bit_matrix(n)
+        returns = (x @ mu)[constraints[0].satisfied(x)]
         constraints.append(LinearConstraint(tuple(mu), Sense.GEQ, float(np.median(returns))))
 
     inst = PortfolioInstance(
@@ -326,7 +321,7 @@ def penalty_objective(
     x_table = inst._bits
 
     widths: list[int] = []
-    slack_terms: list[tuple[np.ndarray, float, int]] = []  # (g-values, dg, width)
+    slack_terms: list[tuple[np.ndarray, float, int, float]] = []  # (g-values, dg, width, lambda)
     penalties_eq = np.zeros(1 << n, dtype=np.float64)
 
     for c, lam, spacing in zip(inst.constraints, lambdas, slack_spacings):
@@ -351,34 +346,25 @@ def penalty_objective(
         g_max = float(np.max(g_vals[feas.indices]))
         width = _slack_width(g_max, dg)
         widths.append(width)
-        slack_terms.append((g_vals, dg, width))
+        slack_terms.append((g_vals, dg, width, lam))
 
-    # Assemble the extended diagonal. Slack registers are appended above the
-    # problem qubits in constraint order, little-endian within each register.
+    # Assemble the extended diagonal as a (slack state, problem state) table.
+    # Slack registers are appended above the problem qubits in constraint
+    # order, little-endian within each register.
     total_slack = sum(widths)
-    dim_ext = 1 << (n + total_slack)
-    diag = np.empty(dim_ext, dtype=np.float64)
-    f_table = inst._objective + penalties_eq
-
-    slack_lambdas = [
-        lam for c, lam in zip(inst.constraints, lambdas) if c.sense != Sense.EQ
-    ]
-
-    for s_idx in range(1 << total_slack):
-        total = f_table.copy()
-        offset = 0
-        for (g_vals, dg, width), lam in zip(slack_terms, slack_lambdas):
-            bits = (s_idx >> offset) & ((1 << width) - 1)
-            slack_value = dg * bits
-            total += lam * (g_vals - slack_value) ** 2
-            offset += width
-        diag[s_idx << n : (s_idx + 1) << n] = total
+    table = np.tile(inst._objective + penalties_eq, (1 << total_slack, 1))
+    s_idx = np.arange(1 << total_slack)[:, None]
+    offset = 0
+    for g_vals, dg, width, lam in slack_terms:
+        slack_value = dg * ((s_idx >> offset) & ((1 << width) - 1))
+        table += lam * (g_vals - slack_value) ** 2
+        offset += width
 
     return PenaltyRelaxation(
         instance=inst,
         lambdas=lambdas,
         slack_widths=tuple(widths),
-        diagonal=diag,
+        diagonal=table.reshape(-1),
     )
 
 

@@ -7,15 +7,17 @@ and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
 
 Each generator kind has one evolution kernel, which applies exp(-i*a*G)
-along one axis of a state array; :func:`apply_evolution` is the only code
-that tells pure from mixed states. A state vector is the kernel applied to
-its amplitudes; a density matrix is the kernel applied along its rows, then
-along its columns with the complex-conjugate propagator. No structured
-generator is materialized at full size: a diagonal acts by phases, the
-rank-one projector by a sum, and the transverse field by dense Kronecker
-blocks of at most ``_BLOCK_QUBITS`` qubits, each applied by one matrix
-product. A dense generator is exponentiated through its
-eigendecomposition, exact for Hermitian input and reusable across angles.
+along one axis of a state array; :func:`apply_evolution` is the only
+evolution code that tells pure from mixed states. A state vector is the
+kernel applied to its amplitudes; a density matrix is the kernel applied
+along its rows, then along its columns with the complex-conjugate
+propagator. No structured generator is materialized for evolution: a
+diagonal acts by phases, the rank-one projector by a sum, and the
+transverse field by dense Kronecker blocks of at most ``_BLOCK_QUBITS``
+qubits, each applied by one matrix product. A dense generator is
+exponentiated through its eigendecomposition, exact for Hermitian input
+and reusable across angles. Only :func:`expectation` of a non-diagonal
+observable, which no evolution loop needs, materializes the generator.
 """
 
 from __future__ import annotations
@@ -353,9 +355,9 @@ class DenseHermitian(Generator):
 
     __slots__ = ("n", "mat", "_eig", "_involution")
 
-    def __init__(self, mat: np.ndarray, *, herm_tol: float = 1e-9):
+    def __init__(self, mat: np.ndarray):
         mat = np.array(mat, dtype=np.complex128)
-        if not is_hermitian(mat, herm_tol):
+        if not is_hermitian(mat, _HERM_TOL):
             raise ValueError("generator matrix is not Hermitian")
         self.n = check_num_qubits(num_qubits_for_dim(mat.shape[0]))
         self.mat = (mat + mat.conj().T) / 2.0
@@ -430,38 +432,17 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
 def expectation(state: State, obs: Generator) -> float:
     """Tr[obs * rho] (or the pure-state expectation), as a real number.
 
-    The imaginary residue is asserted below 1e-9 and discarded.
+    A diagonal observable weighs the basis-state probabilities; any other
+    is materialized and contracted with the density matrix. The imaginary
+    residue is asserted below 1e-9 and discarded.
     """
     _check_dims(state, obs)
 
     if isinstance(obs, Diagonal):
         return float(np.dot(obs.values, state.probabilities()))
-
-    if isinstance(obs, TransverseField):
-        total = 0.0 + 0.0j
-        if isinstance(state, StateVector):
-            amps = state.amps
-            idx = np.arange(amps.size)
-            for k in range(obs.n):
-                total += np.vdot(amps, amps[idx ^ (1 << k)])
-        else:
-            idx = np.arange(state.dim)
-            for k in range(obs.n):
-                total += state.mat[idx ^ (1 << k), idx].sum()
-        return _real_part(total)
-
-    if isinstance(obs, RankOneUniform):
-        dim = obs.dim
-        if isinstance(state, StateVector):
-            return float(abs(state.amps.sum()) ** 2 / dim)
-        return _real_part(state.mat.sum() / dim)
-
-    if isinstance(obs, DenseHermitian):
-        if isinstance(state, StateVector):
-            return _real_part(np.vdot(state.amps, obs.mat @ state.amps))
-        return _real_part(np.sum(obs.mat * state.mat.T))
-
-    raise TypeError(f"unknown generator type {type(obs).__name__}")
+    # vdot conjugates obs elementwise, which for Hermitian obs is its
+    # transpose, so the sum is Tr[obs * rho].
+    return _real_part(np.vdot(obs.materialize(), as_density(state).mat))
 
 
 def _real_part(value: complex) -> float:

@@ -365,6 +365,31 @@ def test_compile_oracle_verifies_seven_variable_oracle(capsys):
     assert "11 (7 system + 4 auxiliary)" in text
 
 
+def test_compile_oracle_reports_auxiliaries_of_checked_circuit(tmp_path, capsys):
+    # The README's third command checks the qcl circuit (one readout qubit)
+    # without --qcl: the report describes the circuit in the file.
+    path = tmp_path / "oracle.txt"
+    assert run_cli(
+        "compile-oracle", "--constraint", "2,-1,-1,0 EQ 0", "--precision", "3",
+        "--qcl", "--emit", str(path),
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "compile-oracle", "--constraint", "2,-1,-1,0 EQ 0", "--precision", "3",
+        "--check-file", str(path),
+    ) == 0
+    text = capsys.readouterr().out
+    assert "verification passed" in text
+    assert "qubits: 5 (4 system + 1 auxiliary)" in text
+    # One classical bit more: every readout word has the wrong length.
+    path.write_text(path.read_text().replace("CLBITS 3", "CLBITS 4"))
+    assert run_cli(
+        "compile-oracle", "--constraint", "2,-1,-1,0 EQ 0", "--precision", "3",
+        "--check-file", str(path),
+    ) == 4
+    assert "verification failed at input x=0000" in capsys.readouterr().err
+
+
 def test_compile_oracle_rejects_all_zero_coeffs():
     assert run_cli(
         "compile-oracle", "--constraint", "0,0 EQ 0", "--precision", "3",

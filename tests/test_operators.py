@@ -8,33 +8,38 @@ from hypothesis import strategies as st
 from zenopt.operators import (
     Measurement,
     Projector,
-    bits_of,
+    bit_matrix,
     complement,
-    projector_from_predicate,
     spectral_norm,
     spectral_span,
     zeno_hamiltonian,
 )
+from zenopt.problems import LinearConstraint, Sense
 from zenopt.qcore import DenseHermitian, Diagonal, RankOneUniform, TransverseField
+
+
+def satisfying_projector(c: LinearConstraint) -> Projector:
+    n = len(c.coeffs)
+    return Projector(n, np.flatnonzero(c.satisfied(bit_matrix(n))))
 
 
 def test_hardware_equality_predicate():
     # 2x1 - x2 - x3 = 0 on four variables: (x1,x2,x3) in {(0,0,0),(1,1,1)},
     # x4 free -> indices {0, 7, 8, 15} (enumerated by hand over 16 strings)
-    p = projector_from_predicate(4, lambda b: 2 * b[0] - b[1] - b[2] == 0)
+    p = satisfying_projector(LinearConstraint((2, -1, -1, 0), Sense.EQ, 0))
     assert list(p.indices) == [0, 7, 8, 15]
 
 
 def test_hamming_weight_budget_predicate():
     # sum x <= 2 on four variables: C(4,0)+C(4,1)+C(4,2) = 11 states
-    p = projector_from_predicate(4, lambda b: sum(b) <= 2)
+    p = satisfying_projector(LinearConstraint((1, 1, 1, 1), Sense.LEQ, 2))
     assert p.rank == 11
     brute = [x for x in range(16) if bin(x).count("1") <= 2]
     assert list(p.indices) == brute
 
 
 def test_always_true_predicate_is_identity():
-    p = projector_from_predicate(2, lambda b: True)
+    p = satisfying_projector(LinearConstraint((1, 1), Sense.LEQ, 2))
     assert list(p.indices) == [0, 1, 2, 3]
     np.testing.assert_array_equal(p.matrix(), np.eye(4))
 
@@ -49,7 +54,7 @@ def test_projector_matrix_is_projection():
 def test_complement():
     full = Projector(2, [0, 1, 2, 3])
     assert complement(full).rank == 0
-    eq = projector_from_predicate(4, lambda b: 2 * b[0] - b[1] - b[2] == 0)
+    eq = satisfying_projector(LinearConstraint((2, -1, -1, 0), Sense.EQ, 0))
     assert complement(eq).rank == 12
     assert complement(complement(eq)) == eq
 
@@ -138,8 +143,8 @@ def test_span_bounded_by_twice_spectral_norm():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=255))
 def test_bits_round_trip(x):
-    bits = bits_of(x, 8)
-    assert sum(b << j for j, b in enumerate(bits)) == x
+    bits = bit_matrix(8)[x]
+    assert sum(int(b) << j for j, b in enumerate(bits)) == x
 
 
 def test_spectral_norm():

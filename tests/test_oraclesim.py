@@ -40,6 +40,7 @@ from zenopt.oraclesim.circuit import (
     Reset,
     X,
 )
+from zenopt.operators import Measurement, Projector, bit_matrix
 from zenopt.problems import LinearConstraint, Sense
 
 EQ_CONSTRAINT = LinearConstraint((2.0, -1.0, -1.0, 0.0), Sense.EQ, 0.0)
@@ -312,17 +313,18 @@ def loaded_register_value(circ: Circuit, n: int, m: int, x: int) -> int:
 
 
 def test_load_equality_polynomial_exact():
-    poly = FixedPointPoly.from_integer_terms([(2, {0}), (-1, {1}), (-1, {2})], 3)
+    poly = FixedPointPoly([(2, {0}), (-1, {1}), (-1, {2})], 3)
     circ = fourier_load_polynomial(poly, 4)
+    loaded = poly.loaded_integers(bit_matrix(4))
     for x in range(16):
         bits = [(x >> j) & 1 for j in range(4)]
         expect = (2 * bits[0] - bits[1] - bits[2]) % 8
-        assert loaded_register_value(circ, 4, 3, x) == expect
+        assert loaded_register_value(circ, 4, 3, x) == expect == loaded[x]
 
 
 def test_load_shifted_cardinality_polynomial():
     # sum b - 3 with four value bits: sign bit set exactly when sum <= 2
-    poly = FixedPointPoly.from_integer_terms(
+    poly = FixedPointPoly(
         [(1, {0}), (1, {1}), (1, {2}), (1, {3}), (-3, set())], 4)
     circ = fourier_load_polynomial(poly, 4)
     for x in range(16):
@@ -333,7 +335,7 @@ def test_load_shifted_cardinality_polynomial():
 
 
 def test_load_constant_zero_polynomial():
-    poly = FixedPointPoly.from_integer_terms([(0, set())], 3)
+    poly = FixedPointPoly([(0, set())], 3)
     circ = fourier_load_polynomial(poly, 2)
     for x in range(4):
         assert loaded_register_value(circ, 2, 3, x) == 0
@@ -342,7 +344,7 @@ def test_load_constant_zero_polynomial():
 def test_rotation_bank_count():
     # K terms over m value bits load with exactly K*m rotations, each
     # controlled on the term's variables
-    poly = FixedPointPoly.from_integer_terms([(2, {0}), (-1, {1}), (-1, {2})], 3)
+    poly = FixedPointPoly([(2, {0}), (-1, {1}), (-1, {2})], 3)
     circ = fourier_load_polynomial(poly, 4)
     banks = [op for op in circ.ops
              if isinstance(op, CPhase) and any(c < 4 for c in op.controls)]
@@ -351,10 +353,14 @@ def test_rotation_bank_count():
 
 def test_poly_range_validation():
     with pytest.raises(ValueError):
-        FixedPointPoly.from_integer_terms([(9, {0})], 4)  # 9 > 2^3 - 1
+        FixedPointPoly([(9, {0})], 4)  # 9 > 2^3 - 1
     with pytest.raises(ValueError):
-        FixedPointPoly.from_integer_terms([(1.5, {0})], 4)
-    FixedPointPoly.from_integer_terms([(7, {0}), (-8, set())], 4)
+        FixedPointPoly([(1.5, {0})], 4)
+    with pytest.raises(ValueError):
+        FixedPointPoly([(-1, {0}), (-8, set())], 4)  # -9 < -2^3
+    with pytest.raises(ValueError):
+        FixedPointPoly([(0, set())], 0)
+    FixedPointPoly([(7, {0}), (-8, set())], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +478,67 @@ def test_oracle_input_validation():
         constraint_measurement_circuit(EQ_CONSTRAINT, 4, 2)  # range [-2,2] needs 3 bits
     with pytest.raises(ValueError):
         constraint_measurement_circuit(LEQ_CONSTRAINT, 4, 4, qcl=True)
+
+
+def reference_expected_word(oracle, x: int) -> tuple[int, ...]:
+    """Per-input readout: the polynomial evaluated on one bit vector."""
+    bits = [(x >> j) & 1 for j in range(oracle.n_system)]
+    total = 0.0
+    for d, s in oracle.poly.terms:
+        if all(bits[v] for v in s):
+            total += d
+    m = oracle.precision
+    v = round(total) % (1 << m)
+    value_bits = tuple((v >> j) & 1 for j in range(m))
+    return (value_bits[-1],) if oracle.kind == "inequality" else value_bits
+
+
+def reference_induced_partition(oracle) -> Measurement:
+    """Basis inputs grouped by their per-input readout, groups in sorted
+    word order."""
+    n = oracle.n_system
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for x in range(1 << n):
+        groups.setdefault(reference_expected_word(oracle, x), []).append(x)
+    projs = [Projector(n, idx) for _, idx in sorted(groups.items())]
+    return Measurement.trivial(n) if len(projs) == 1 else Measurement(projs)
+
+
+def reference_feasibility_measurement(oracle) -> Measurement:
+    """The constraint tested on one basis input's bit vector at a time."""
+    n = oracle.n_system
+    feas = [x for x in range(1 << n)
+            if oracle.constraint.satisfied(np.array([(x >> j) & 1 for j in range(n)], float))]
+    return Measurement.two_outcome(Projector(n, feas))
+
+
+@st.composite
+def integer_oracles(draw):
+    n = draw(st.integers(1, 6))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    sense = draw(st.sampled_from(list(Sense)))
+    rhs = draw(st.integers(-3 * n, 3 * n))
+    c = LinearConstraint(tuple(coeffs), sense, rhs)
+    # Narrowest register holding every value of the loaded polynomial (LEQ
+    # loads rhs - a.x), plus up to two spare bits.
+    values = (bit_matrix(n) @ np.array(coeffs, float) - rhs) * (-1 if sense == Sense.LEQ else 1)
+    reach = max(-values.min(), values.max() + 1)
+    m = int(np.ceil(np.log2(reach))) + 1 + draw(st.integers(0, 2))
+    qcl = sense == Sense.EQ and draw(st.booleans())
+    return constraint_measurement_circuit(c, n, m, qcl=qcl)
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_oracles())
+def test_oracle_tables_match_per_input_references(oracle):
+    n = oracle.n_system
+    words = [reference_expected_word(oracle, x) for x in range(1 << n)]
+    assert oracle.readouts.tolist() == [list(w) for w in words]
+    assert [oracle.expected_word(x) for x in range(1 << n)] == words
+    assert oracle.induced_partition().projectors == reference_induced_partition(oracle).projectors
+    feasible = reference_feasibility_measurement(oracle)
+    assert oracle.feasibility_measurement().projectors == feasible.projectors
+    assert [oracle.outcome_is_feasible(w) for w in words] == feasible.projectors[0].mask().tolist()
 
 
 def test_uncompute_bug_is_detected():

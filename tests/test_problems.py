@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zenopt.operators import bits_of
+from zenopt.operators import bit_matrix
 from zenopt.problems import (
     InstanceConfig,
     LinearConstraint,
@@ -47,7 +47,7 @@ def test_objective_values():
 def test_objective_matches_brute_force_oracle():
     inst = generate_instance(4, 3)
     for idx in range(16):
-        x = bits_of(idx, 4)
+        x = bit_matrix(4)[idx]
         assert abs(inst.objective_value(x) - brute_objective(inst, x)) < 1e-12
 
 
@@ -69,6 +69,33 @@ def test_multi_constraint_feasible_set_is_intersection():
     f_base = set(feasible_states(base).indices)
     f_multi = set(feasible_states(multi).indices)
     assert f_multi and f_multi < f_base
+
+
+def test_feasible_states_match_per_state_predicate_loop():
+    # Reference: each basis state's bit vector tested one at a time, and the
+    # return threshold taken over a list of budget-feasible returns.
+    for n in range(2, 9):
+        for seed in (0, 5):
+            for cfg in (InstanceConfig(), InstanceConfig(return_constraint=True)):
+                inst = generate_instance(n, seed, cfg)
+                rows = [np.array([(x >> j) & 1 for j in range(n)], dtype=float)
+                        for x in range(1 << n)]
+                expected = [x for x, row in enumerate(rows)
+                            if all(c.satisfied(row) for c in inst.constraints)]
+                assert feasible_states(inst).indices.tolist() == expected
+                if cfg.return_constraint:
+                    budget = inst.constraints[0].rhs
+                    returns = [float(row @ inst.mu) for row in rows if row.sum() <= budget]
+                    assert inst.constraints[1].rhs == float(np.median(returns))
+
+
+def test_satisfied_takes_a_vector_or_a_matrix():
+    c = LinearConstraint((1.0, -2.0, 1.0), Sense.GEQ, 0.0)
+    table = bit_matrix(3)
+    mask = c.satisfied(table)
+    assert mask.dtype == bool and mask.shape == (8,)
+    assert mask.tolist() == [c.satisfied(row) for row in table]
+    assert isinstance(c.satisfied(table[0]), bool)
 
 
 def test_constraint_validation():
@@ -138,7 +165,7 @@ def test_equality_penalty_vanishes_exactly_on_feasible_set():
     f = inst.objective_table()
     feas = feasible_states(inst)
     for idx in range(16):
-        bits = bits_of(idx, 4)
+        bits = bit_matrix(4)[idx]
         g = 2 * bits[0] - bits[1] - bits[2]
         expected = f[idx] + g**2
         assert abs(relax.diagonal[idx] - expected) < 1e-12
@@ -161,6 +188,49 @@ def test_budget_penalty_slack_register():
             assert min(over_slack) == pytest.approx(0.0, abs=1e-12)
         else:
             assert min(over_slack) > 1e-9
+
+
+def reference_penalty_diagonal(inst, lambdas, widths, slack_spacings):
+    """The extended diagonal assembled one slack state at a time."""
+    n = inst.n
+    x_table = bit_matrix(n)
+    penalties_eq = np.zeros(1 << n)
+    slack_terms = []
+    for c, lam, width, spacing in zip(inst.constraints, lambdas, widths, slack_spacings):
+        a, const = c.slack_form()
+        g_vals = x_table @ a + const
+        if c.sense == Sense.EQ:
+            penalties_eq += lam * g_vals**2
+        else:
+            slack_terms.append((g_vals, 1.0 if spacing is None else float(spacing), width, lam))
+    f_table = inst.objective_table() + penalties_eq
+    total_slack = sum(widths)
+    diag = np.empty(1 << (n + total_slack))
+    for s_idx in range(1 << total_slack):
+        total = f_table.copy()
+        offset = 0
+        for g_vals, dg, width, lam in slack_terms:
+            bits = (s_idx >> offset) & ((1 << width) - 1)
+            total += lam * (g_vals - dg * bits) ** 2
+            offset += width
+        diag[s_idx << n : (s_idx + 1) << n] = total
+    return diag
+
+
+def test_penalty_diagonal_matches_per_slack_state_loop():
+    from zenopt.problems import default_slack_spacings
+
+    rng = np.random.default_rng(3)
+    cases = [(equality_instance(), [None])]
+    for n in range(2, 9):
+        for cfg in (InstanceConfig(), InstanceConfig(return_constraint=True)):
+            inst = generate_instance(n, n + 10, cfg)
+            cases.append((inst, default_slack_spacings(inst)))
+    for inst, spacings in cases:
+        lambdas = [float(v) for v in rng.uniform(0.1, 5.0, size=len(inst.constraints))]
+        relax = penalty_objective(inst, lambdas, spacings)
+        ref = reference_penalty_diagonal(inst, lambdas, relax.slack_widths, spacings)
+        assert np.array_equal(relax.diagonal, ref)
 
 
 def test_zero_lambda_recovers_plain_objective_everywhere():

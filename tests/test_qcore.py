@@ -173,12 +173,16 @@ def test_expectation_values():
 
 def test_expectation_matches_dense_oracle():
     rng = np.random.default_rng(23)
-    for gen in (TransverseField(3), RankOneUniform(3)):
-        dense = DenseHermitian(gen.materialize())
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    gens = (TransverseField(3), RankOneUniform(3), Diagonal(rng.standard_normal(8)),
+            DenseHermitian((a + a.conj().T) / 2.0))
+    for gen in gens:
+        g = gen.materialize()
         psi = random_state(3, rng)
-        assert abs(expectation(psi, gen) - expectation(psi, dense)) < 1e-10
-        rho = psi.to_density()
-        assert abs(expectation(rho, gen) - expectation(rho, dense)) < 1e-10
+        assert abs(expectation(psi, gen) - np.vdot(psi.amps, g @ psi.amps).real) < 1e-10
+        other = random_state(3, rng)
+        rho = DensityMatrix(0.3 * psi.to_density().mat + 0.7 * other.to_density().mat)
+        assert abs(expectation(rho, gen) - np.trace(g @ rho.mat).real) < 1e-10
 
 
 def test_dimension_and_angle_errors():
