@@ -185,93 +185,16 @@ def _emit_run_record(args, record: dict) -> None:
         write_csv(args.csv, [row], RUN_CSV_COLUMNS)
 
 
-# ---------------------------------------------------------------------------
-# run-qaoa
-# ---------------------------------------------------------------------------
-
-
-def cmd_run_qaoa(args) -> int:
-    if args.penalty and args.schedule:
-        raise CliError("--penalty (baseline) conflicts with --schedule (measured run)")
-    inst, source = load_instance(args)
-    bundle = _bundle(inst)
-    started = time.perf_counter()
-
-    config = {
-        "mixer": args.mixer,
-        "layers": args.layers,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "budget": args.budget,
-        "cost_scale": bundle.scale,
-    }
-
-    try:
-        if args.penalty:
-            lambdas = _parse_floats(args.penalty)
-            if len(lambdas) != len(inst.constraints):
-                raise CliError(
-                    f"--penalty lists {len(lambdas)} factors for "
-                    f"{len(inst.constraints)} constraints"
-                )
-            config["penalty"] = lambdas
-            report, params, metrics = experiments.optimize_penalty_qaoa(
-                bundle, lambdas, args.mixer, args.layers,
-                restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
-            )
-        else:
-            schedule = zeno.ZenoSchedule.parse(args.schedule or "eta=1.6", args.delta)
-            config["schedule"] = schedule.describe()
-            report, params, metrics = experiments.optimize_zeno_qaoa(
-                bundle, args.mixer, args.layers, schedule,
-                restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
-            )
-    except (ValueError, zeno.DeltaRangeError) as exc:
-        raise CliError(str(exc)) from exc
-
-    record = {
-        "experiment": "run-qaoa",
+def _run_record(args, experiment, bundle, source, config, report, metrics, started) -> dict:
+    return {
+        "experiment": experiment,
         "toolkit_version": __version__,
         "command": _command_line(),
-        "instance": inst.to_dict(),
-        "instance_source": source,
-        "config": config,
-        "metrics": metrics,
-        "optimizer": {
-            "best_value": report.best_value,
-            "best_params": [float(v) for v in report.best_params],
-            "n_evaluations": report.n_evaluations,
-            "restarts": report.restarts,
-            "seed": report.seed,
-        },
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _emit_run_record(args, record)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# run-lvqe
-# ---------------------------------------------------------------------------
-
-
-def cmd_run_lvqe(args) -> int:
-    inst, source = load_instance(args)
-    bundle = _bundle(inst)
-    started = time.perf_counter()
-    report, params, metrics = experiments.optimize_lvqe(
-        bundle, args.layers, args.measurements,
-        restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
-    )
-    record = {
-        "experiment": "run-lvqe",
-        "toolkit_version": __version__,
-        "command": _command_line(),
-        "instance": inst.to_dict(),
+        "instance": bundle.instance.to_dict(),
         "instance_source": source,
         "config": {
+            **config,
             "layers": args.layers,
-            "measurements": args.measurements,
             "seed": args.seed,
             "restarts": args.restarts,
             "budget": args.budget,
@@ -287,7 +210,60 @@ def cmd_run_lvqe(args) -> int:
         },
         "wall_time_s": time.perf_counter() - started,
     }
-    _emit_run_record(args, record)
+
+
+# ---------------------------------------------------------------------------
+# run-qaoa
+# ---------------------------------------------------------------------------
+
+
+def cmd_run_qaoa(args) -> int:
+    if args.penalty and args.schedule:
+        raise CliError("--penalty (baseline) conflicts with --schedule (measured run)")
+    inst, source = load_instance(args)
+    bundle = _bundle(inst)
+    started = time.perf_counter()
+    try:
+        if args.penalty:
+            method = _parse_floats(args.penalty)
+            if len(method) != len(inst.constraints):
+                raise CliError(
+                    f"--penalty lists {len(method)} factors for "
+                    f"{len(inst.constraints)} constraints"
+                )
+            config = {"mixer": args.mixer, "penalty": method}
+        else:
+            method = zeno.ZenoSchedule.parse(args.schedule or "eta=1.6", args.delta)
+            config = {"mixer": args.mixer, "schedule": method.describe()}
+        report, _, metrics = experiments.run_qaoa(
+            bundle, args.mixer, args.layers, method,
+            restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
+        )
+    except (ValueError, zeno.DeltaRangeError) as exc:
+        raise CliError(str(exc)) from exc
+    _emit_run_record(
+        args, _run_record(args, "run-qaoa", bundle, source, config, report, metrics, started)
+    )
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# run-lvqe
+# ---------------------------------------------------------------------------
+
+
+def cmd_run_lvqe(args) -> int:
+    inst, source = load_instance(args)
+    bundle = _bundle(inst)
+    started = time.perf_counter()
+    report, _, metrics = experiments.optimize_lvqe(
+        bundle, args.layers, args.measurements,
+        restarts=args.restarts, seed=args.seed, budget=args.budget, jobs=args.jobs,
+    )
+    config = {"measurements": args.measurements}
+    _emit_run_record(
+        args, _run_record(args, "run-lvqe", bundle, source, config, report, metrics, started)
+    )
     return EXIT_OK
 
 
@@ -316,64 +292,50 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
         "budget": args.budget,
     }
-    points: list[dict] = []
-
-    if args.kind == "eta":
-        for eta in _parse_floats(args.etas or ""):
-            points.append({**common, "kind": "eta", "eta": eta})
-    elif args.kind == "lambda":
-        grid1 = _parse_floats(args.lambdas or "")
-        grid2 = _parse_floats(args.lambdas2) if args.lambdas2 else None
-        expected = 2 if grid2 else 1
-        if len(inst.constraints) != expected:
-            raise CliError(
-                f"lambda sweep over {expected} factor(s) needs an instance with "
-                f"{expected} constraint(s), got {len(inst.constraints)}"
-            )
-        if grid2:
-            for l1 in grid1:
-                for l2 in grid2:
-                    points.append({**common, "kind": "lambda", "lambdas": [l1, l2]})
-        else:
-            for l1 in grid1:
-                points.append({**common, "kind": "lambda", "lambdas": [l1]})
-    elif args.kind == "layers":
-        if bool(args.penalty) == bool(args.schedule):
-            raise CliError("layers sweep needs exactly one of --penalty or --schedule")
-        if args.penalty:
-            method = {"lambdas": _parse_floats(args.penalty)}
-        else:
-            try:
-                method = {"schedule": zeno.ZenoSchedule.parse(args.schedule, args.delta)}
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-        for p in _parse_ints(args.layers_grid or ""):
-            points.append({**common, "kind": "layers", "p": p, **method})
-    elif args.kind == "transfer":
+    kind = args.kind
+    if kind == "transfer":
         if not args.transfer_from:
             raise CliError("sweep transfer needs --transfer-from RUN.json")
         params, record = _source_params(args.transfer_from)
         source_cfg = record.get("config", {})
         common["mixer"] = source_cfg.get("mixer", args.mixer)
         common["p"] = source_cfg.get("layers", args.layers)
+        common["params"] = params.tolist()
         if args.etas:
-            for eta in _parse_floats(args.etas):
-                points.append({**common, "kind": "eta", "eta": eta, "params": params.tolist()})
+            kind = "eta"
         elif args.lambdas:
-            if len(inst.constraints) != 1:
-                raise CliError("lambda transfer sweep needs a single-constraint instance")
-            for lam in _parse_floats(args.lambdas):
-                points.append(
-                    {**common, "kind": "lambda", "lambdas": [lam], "params": params.tolist()}
-                )
+            kind = "lambda"
         else:
             raise CliError("sweep transfer needs --etas or --lambdas")
-    else:
-        raise CliError(f"unknown sweep kind {args.kind!r}")
 
-    if not points:
-        raise CliError("empty sweep grid")
+    points: list[dict] = []
     try:
+        if kind == "eta":
+            for eta in _parse_floats(args.etas or ""):
+                method = zeno.ZenoSchedule.from_eta(eta)
+                points.append({**common, "method": method, "row": ("eta", eta, None)})
+        elif kind == "lambda":
+            grid1 = _parse_floats(args.lambdas or "")
+            grid2 = _parse_floats(args.lambdas2) if args.lambdas2 else None
+            expected = 2 if grid2 else 1
+            if len(inst.constraints) != expected:
+                raise CliError(
+                    f"lambda sweep over {expected} factor(s) needs an instance with "
+                    f"{expected} constraint(s), got {len(inst.constraints)}"
+                )
+            for l1 in grid1:
+                for l2 in grid2 or [None]:
+                    method = [l1] if l2 is None else [l1, l2]
+                    points.append({**common, "method": method, "row": ("lambda", l1, l2)})
+        else:
+            if bool(args.penalty) == bool(args.schedule):
+                raise CliError("layers sweep needs exactly one of --penalty or --schedule")
+            if args.penalty:
+                method = _parse_floats(args.penalty)
+            else:
+                method = zeno.ZenoSchedule.parse(args.schedule, args.delta)
+            for p in _parse_ints(args.layers_grid or ""):
+                points.append({**common, "p": p, "method": method, "row": ("layers", p, None)})
         rows = experiments.run_sweep(points, jobs=args.jobs)
     except (ValueError, zeno.DeltaRangeError) as exc:
         raise CliError(str(exc)) from exc

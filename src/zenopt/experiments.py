@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ansatz, optimize, problems, zeno
 from .operators import Measurement, Projector
-from .qcore import Diagonal, Generator, RankOneUniform, StateVector, TransverseField
+from .qcore import Diagonal, Generator, RankOneUniform, StateVector, TransverseField, expectation
 
 MIXER_KINDS = ("x", "cg")
 
@@ -104,8 +104,6 @@ def zeno_objective(
         rho = ansatz.run_qaoa_zeno(
             bundle.cost_scaled, mixer, bundle.measurement, params, schedule, bundle.initial
         )
-        from .qcore import expectation
-
         return expectation(rho, cf)
 
     return objective
@@ -190,8 +188,6 @@ def optimize_penalty_qaoa(
     budget = default_budget(restarts) if budget is None else budget
 
     def objective(flat: np.ndarray) -> float:
-        from .qcore import expectation
-
         psi = ansatz.run_qaoa_penalty(cost, mixer, ansatz.QaoaParams.from_flat(flat))
         return expectation(psi, cost)
 
@@ -208,6 +204,38 @@ def optimize_penalty_qaoa(
     return report, params, evaluate_penalty_qaoa(bundle, relax, cost, mixer, params)
 
 
+def run_qaoa(
+    bundle: ProblemBundle,
+    mixer_kind: str,
+    p: int,
+    method: zeno.ZenoSchedule | list[float],
+    params=None,
+    *,
+    restarts: int | None = None,
+    seed: int = 0,
+    budget: int | None = None,
+    jobs: int = 1,
+) -> tuple[optimize.OptimizationReport | None, ansatz.QaoaParams, dict[str, float]]:
+    """One p-layer QAOA run: measured under ``method`` when it is a
+    :class:`zeno.ZenoSchedule`, the penalty baseline when it is a list of
+    penalty factors (one per constraint). Flat ``params`` are evaluated as
+    given and the report is None; otherwise the parameters are optimized."""
+    measured = isinstance(method, zeno.ZenoSchedule)
+    if params is None:
+        opts = dict(restarts=restarts, seed=seed, budget=budget, jobs=jobs)
+        if measured:
+            return optimize_zeno_qaoa(bundle, mixer_kind, p, method, **opts)
+        return optimize_penalty_qaoa(bundle, method, mixer_kind, p, **opts)
+    qaoa = ansatz.QaoaParams.from_flat(params)
+    if qaoa.p != p:
+        raise ValueError(f"{qaoa.p}-layer parameters given for a {p}-layer run")
+    if measured:
+        mixer = make_mixer(mixer_kind, bundle.instance.n)
+        return None, qaoa, evaluate_zeno_qaoa(bundle, mixer, qaoa, method)
+    relax, cost, mixer, _ = penalty_setup(bundle, method, mixer_kind)
+    return None, qaoa, evaluate_penalty_qaoa(bundle, relax, cost, mixer, qaoa)
+
+
 # ---------------------------------------------------------------------------
 # Layered-circuit (hardware-efficient) runs
 # ---------------------------------------------------------------------------
@@ -218,8 +246,6 @@ def lvqe_objective(bundle: ProblemBundle, p: int, n_measurements: int):
     n = bundle.instance.n
 
     def objective(flat: np.ndarray) -> float:
-        from .qcore import expectation
-
         params = ansatz.LvqeParams.from_flat(n, p, flat)
         rho = ansatz.run_lvqe_zeno(bundle.measurement, params, n_measurements)
         return expectation(rho, cf)
@@ -286,50 +312,15 @@ def _sweep_row(sweep_var, value1, value2, metrics, seed) -> dict:
 
 
 def _run_sweep_point(payload: dict) -> dict:
-    """Worker for one grid point; top-level so process pools can pickle it."""
-    inst = problems.PortfolioInstance.from_dict(payload["instance"])
-    bundle = ProblemBundle.build(inst)
-    kind = payload["kind"]
-    seed = payload["seed"]
-    common = dict(restarts=payload["restarts"], seed=seed, budget=payload["budget"])
-
-    if kind == "eta":
-        schedule = zeno.ZenoSchedule.from_eta(payload["eta"])
-        if payload.get("params") is not None:
-            mixer = make_mixer(payload["mixer"], inst.n)
-            params = ansatz.QaoaParams.from_flat(np.asarray(payload["params"]))
-            metrics = evaluate_zeno_qaoa(bundle, mixer, params, schedule)
-        else:
-            _, _, metrics = optimize_zeno_qaoa(
-                bundle, payload["mixer"], payload["p"], schedule, **common
-            )
-        return _sweep_row("eta", payload["eta"], None, metrics, seed)
-
-    if kind == "lambda":
-        lambdas = payload["lambdas"]
-        if payload.get("params") is not None:
-            relax, cost, mixer, _ = penalty_setup(bundle, lambdas, payload["mixer"])
-            params = ansatz.QaoaParams.from_flat(np.asarray(payload["params"]))
-            metrics = evaluate_penalty_qaoa(bundle, relax, cost, mixer, params)
-        else:
-            _, _, metrics = optimize_penalty_qaoa(
-                bundle, lambdas, payload["mixer"], payload["p"], **common
-            )
-        value2 = lambdas[1] if len(lambdas) > 1 else None
-        return _sweep_row("lambda", lambdas[0], value2, metrics, seed)
-
-    if kind == "layers":
-        if payload.get("lambdas") is not None:
-            _, _, metrics = optimize_penalty_qaoa(
-                bundle, payload["lambdas"], payload["mixer"], payload["p"], **common
-            )
-        else:
-            _, _, metrics = optimize_zeno_qaoa(
-                bundle, payload["mixer"], payload["p"], payload["schedule"], **common
-            )
-        return _sweep_row("layers", payload["p"], None, metrics, seed)
-
-    raise ValueError(f"unknown sweep kind {kind!r}")
+    """Worker for one grid point; top-level so process pools can pickle it.
+    The payload carries the :func:`run_qaoa` arguments and the grid
+    coordinates ``row = (sweep_var, value1, value2)``."""
+    bundle = ProblemBundle.build(problems.PortfolioInstance.from_dict(payload["instance"]))
+    _, _, metrics = run_qaoa(
+        bundle, payload["mixer"], payload["p"], payload["method"], payload.get("params"),
+        restarts=payload["restarts"], seed=payload["seed"], budget=payload["budget"],
+    )
+    return _sweep_row(*payload["row"], metrics, payload["seed"])
 
 
 def run_sweep(points: list[dict], jobs: int = 1) -> list[dict]:

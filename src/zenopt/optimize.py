@@ -132,17 +132,6 @@ def optimize_params(
     )
 
 
-def transfer_params(
-    source: OptimizationReport | np.ndarray,
-    evaluate: Callable[[np.ndarray], dict[str, float]],
-) -> dict[str, float]:
-    """Re-evaluate previously optimized parameters under a different
-    configuration (another measurement count, penalty factor, ...) without
-    re-optimizing. ``evaluate`` must bind the target configuration."""
-    params = source.best_params if isinstance(source, OptimizationReport) else np.asarray(source)
-    return dict(evaluate(np.array(params, dtype=np.float64)))
-
-
 # ---------------------------------------------------------------------------
 # Parameter-shift gradients for measured circuits
 # ---------------------------------------------------------------------------

@@ -160,7 +160,9 @@ class ConstraintOracle:
         )
 
     def feasibility_measurement(self) -> ops.Measurement:
-        feas = self.constraint.satisfied(ops.bit_matrix(self.n_system))
+        # The constraint may name fewer variables than the register holds.
+        bits = ops.bit_matrix(self.n_system)[:, : len(self.constraint.coeffs)]
+        feas = self.constraint.satisfied(bits)
         return ops.Measurement.two_outcome(ops.Projector(self.n_system, np.flatnonzero(feas)))
 
 

@@ -173,10 +173,6 @@ class PortfolioInstance:
         return cls.from_dict(json.loads(text))
 
 
-def objective_value(inst: PortfolioInstance, x) -> float:
-    return inst.objective_value(x)
-
-
 # ---------------------------------------------------------------------------
 # Seeded instance generation
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ def test_sweep_worker_and_sorting():
     points = [
         {
             "instance": inst.to_dict(), "mixer": "cg", "p": 1, "restarts": 3,
-            "seed": 1, "budget": 600, "kind": "eta", "eta": eta,
+            "seed": 1, "budget": 600, "method": zeno.ZenoSchedule.from_eta(eta),
+            "row": ("eta", eta, None),
         }
         for eta in (0.4, 1.6, 0.1)
     ]

@@ -10,7 +10,6 @@ from zenopt.optimize import (
     finite_difference_gradient,
     optimize_params,
     parameter_shift_gradient,
-    transfer_params,
 )
 from zenopt.qcore import DenseHermitian, StateVector, TransverseField
 
@@ -90,20 +89,18 @@ def test_qaoa_energy_matches_grid_search_oracle():
 
 
 def test_transfer_params_identity():
-    inst = problems.generate_instance(4, 7)
-    bundle = experiments.ProblemBundle.build(inst)
-    sched = zeno.ZenoSchedule.from_eta(0.4)
-    report, params, metrics = experiments.optimize_zeno_qaoa(
-        bundle, "x", 1, sched, restarts=8, seed=2, budget=2000)
-    mixer = experiments.make_mixer("x", 4)
-
-    def evaluate(flat):
-        from zenopt.ansatz import QaoaParams
-
-        return experiments.evaluate_zeno_qaoa(bundle, mixer, QaoaParams.from_flat(flat), sched)
-
-    again = transfer_params(report, evaluate)
-    assert again == metrics
+    """Optimized parameters evaluated again under the same measured schedule
+    or penalty factors reproduce the optimizer's metrics exactly."""
+    bundle = experiments.ProblemBundle.build(problems.generate_instance(4, 7))
+    for method in (zeno.ZenoSchedule.from_eta(0.4), [2.0]):
+        report, params, metrics = experiments.run_qaoa(
+            bundle, "x", 1, method, restarts=8, seed=2, budget=2000)
+        again, same, transferred = experiments.run_qaoa(
+            bundle, "x", 1, method, report.best_params)
+        assert again is None and same == params
+        assert transferred == metrics
+        with pytest.raises(ValueError):
+            experiments.run_qaoa(bundle, "x", 2, method, report.best_params)
 
 
 # ---------------------------------------------------------------------------

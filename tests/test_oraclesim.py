@@ -506,22 +506,24 @@ def reference_induced_partition(oracle) -> Measurement:
 
 def reference_feasibility_measurement(oracle) -> Measurement:
     """The constraint tested on one basis input's bit vector at a time."""
-    n = oracle.n_system
+    n, k = oracle.n_system, len(oracle.constraint.coeffs)
     feas = [x for x in range(1 << n)
-            if oracle.constraint.satisfied(np.array([(x >> j) & 1 for j in range(n)], float))]
+            if oracle.constraint.satisfied(np.array([(x >> j) & 1 for j in range(k)], float))]
     return Measurement.two_outcome(Projector(n, feas))
 
 
 @st.composite
 def integer_oracles(draw):
     n = draw(st.integers(1, 6))
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+    # The constraint names the first k <= n system qubits.
+    k = draw(st.integers(1, n))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any))
     sense = draw(st.sampled_from(list(Sense)))
-    rhs = draw(st.integers(-3 * n, 3 * n))
+    rhs = draw(st.integers(-3 * k, 3 * k))
     c = LinearConstraint(tuple(coeffs), sense, rhs)
     # Narrowest register holding every value of the loaded polynomial (LEQ
     # loads rhs - a.x), plus up to two spare bits.
-    values = (bit_matrix(n) @ np.array(coeffs, float) - rhs) * (-1 if sense == Sense.LEQ else 1)
+    values = (bit_matrix(n)[:, :k] @ np.array(coeffs, float) - rhs) * (-1 if sense == Sense.LEQ else 1)
     reach = max(-values.min(), values.max() + 1)
     m = int(np.ceil(np.log2(reach))) + 1 + draw(st.integers(0, 2))
     qcl = sense == Sense.EQ and draw(st.booleans())

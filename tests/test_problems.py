@@ -18,7 +18,6 @@ from zenopt.problems import (
     feasible_states,
     generate_instance,
     initial_state_uniform_feasible,
-    objective_value,
     penalty_objective,
 )
 from zenopt.qcore import StateVector
@@ -36,6 +35,8 @@ def brute_objective(inst, x):
 def test_objective_values():
     inst = generate_instance(4, 7)
     assert inst.objective_value([0, 0, 0, 0]) == 0.0
+    with pytest.raises(ValueError):
+        inst.objective_value([1, 0])
     ident = PortfolioInstance(
         n=3, q=1.0, sigma=np.eye(3), mu=np.zeros(3),
         constraints=(LinearConstraint((1.0, 1.0, 1.0), Sense.LEQ, 3.0),),
@@ -354,10 +355,3 @@ def test_cost_scale_positive():
     assert cost_scale(inst) == pytest.approx(float(f.max() - f.min()))
 
 
-def test_module_level_objective_value():
-    inst = generate_instance(4, 7)
-    assert objective_value(inst, [1, 0, 1, 0]) == pytest.approx(
-        inst.objective_value([1, 0, 1, 0])
-    )
-    with pytest.raises(ValueError):
-        objective_value(inst, [1, 0])
