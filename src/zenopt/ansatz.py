@@ -23,7 +23,6 @@ from .qcore import (
     DensityMatrix,
     Diagonal,
     Generator,
-    RankOneUniform,
     State,
     StateVector,
     TransverseField,
@@ -71,8 +70,6 @@ def mixer_beta_halfwidth(mixer: Generator) -> float:
     rank-one uniform mixer. Soft defaults, not hard constraints."""
     if isinstance(mixer, TransverseField):
         return math.pi / 2
-    if isinstance(mixer, RankOneUniform):
-        return math.pi
     return math.pi
 
 

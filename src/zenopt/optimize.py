@@ -15,7 +15,6 @@ sub-step, with the sub-step's rotation shifted by a quarter period.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
@@ -80,19 +79,20 @@ def optimize_params(
     restarts: int = 50,
     seed: int = 0,
     budget: int = 20_000,
-    jobs: int = 1,
 ) -> OptimizationReport:
     """Minimize ``objective`` over a box with seeded multistart Nelder-Mead.
 
     ``budget`` caps the total number of objective evaluations, split evenly
-    across restarts. Ties between restarts break toward the earlier start,
-    so reports are reproducible bit-for-bit from the seed regardless of
-    ``jobs``.
+    across restarts. Restarts run one after another in seed order, and ties
+    between them break toward the earlier start, so reports are reproducible
+    bit-for-bit from the seed.
     """
-    if budget < 1:
-        raise ValueError("evaluation budget must be at least 1")
+    if dim < 1:
+        raise ValueError("need at least one parameter to optimize")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if budget < 1:
+        raise ValueError("evaluation budget must be at least 1")
     box = list(box)
     if len(box) != dim or any(hi <= lo for lo, hi in box):
         raise ValueError("box must provide a (lo, hi) range with lo < hi per coordinate")
@@ -103,18 +103,11 @@ def optimize_params(
     starts = [lo + (hi - lo) * rng.random(dim) for _ in range(restarts)]
     per_start = max(1, budget // restarts)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda x0: _single_start(objective, x0, lo, hi, per_start), starts)
-            )
-    else:
-        results = [_single_start(objective, x0, lo, hi, per_start) for x0 in starts]
-
     trace: list[tuple[int, float]] = []
     best_x, best_val = None, math.inf
     count = 0
-    for x, val, evals in results:
+    for x0 in starts:
+        x, val, evals = _single_start(objective, x0, lo, hi, per_start)
         for v in evals:
             count += 1
             if v < (trace[-1][1] if trace else math.inf):

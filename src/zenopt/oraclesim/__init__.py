@@ -12,11 +12,8 @@ from .oracle import (
 from .qft import (
     FixedPointPoly,
     fourier_load_polynomial,
-    from_twos_complement,
     qft_circuit,
     semiclassical_inverse_qft,
-    twos_complement,
-    twos_complement_bits,
 )
 from .simulate import (
     AuxiliaryEntangledError,
@@ -46,13 +43,10 @@ __all__ = [
     "count_resources",
     "enumerate_branches",
     "fourier_load_polynomial",
-    "from_twos_complement",
     "induced_superoperator",
     "measurement_kraus",
     "qft_circuit",
     "sample",
     "semiclassical_inverse_qft",
-    "twos_complement",
-    "twos_complement_bits",
     "unitary_matrix",
 ]

@@ -96,8 +96,6 @@ def constraint_value_poly(c: LinearConstraint, n: int, m: int) -> FixedPointPoly
     const = -sign * c.rhs
     if const != 0.0:
         terms.append((const, set()))
-    if not terms:
-        terms.append((0.0, set()))
     lo = sum(min(d, 0.0) for d, s in terms if s) + sum(d for d, s in terms if not s)
     hi = sum(max(d, 0.0) for d, s in terms if s) + sum(d for d, s in terms if not s)
     if lo < -(1 << (m - 1)) or hi > (1 << (m - 1)) - 1:

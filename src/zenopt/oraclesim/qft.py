@@ -25,31 +25,6 @@ import numpy as np
 from .circuit import Circuit, CPhase, H, Op, Phase, inverted
 
 # ---------------------------------------------------------------------------
-# Two's complement
-# ---------------------------------------------------------------------------
-
-
-def twos_complement(value: int, m: int) -> str:
-    """MSB-first bitstring of ``value`` in m-bit two's complement."""
-    lo, hi = -(1 << (m - 1)), (1 << (m - 1)) - 1
-    if not (lo <= value <= hi):
-        raise OverflowError(f"{value} does not fit in {m}-bit two's complement [{lo}, {hi}]")
-    return format(value & ((1 << m) - 1), f"0{m}b")
-
-
-def from_twos_complement(bits: str) -> int:
-    """Inverse of :func:`twos_complement` (MSB-first bitstring in)."""
-    m = len(bits)
-    raw = int(bits, 2)
-    return raw - (1 << m) if bits[0] == "1" else raw
-
-
-def twos_complement_bits(value: int, m: int) -> tuple[int, ...]:
-    """Little-endian bit tuple (bit 0 first), the register/clbit order."""
-    return tuple(int(b) for b in reversed(twos_complement(value, m)))
-
-
-# ---------------------------------------------------------------------------
 # QFT circuits
 # ---------------------------------------------------------------------------
 

@@ -64,8 +64,6 @@ class LinearConstraint:
         a = np.asarray(self.coeffs, dtype=np.float64)
         if self.sense == Sense.LEQ:
             return -a, float(self.rhs)
-        if self.sense == Sense.GEQ:
-            return a, -float(self.rhs)
         return a, -float(self.rhs)
 
     def has_integer_coeffs(self) -> bool:

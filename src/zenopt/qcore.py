@@ -124,9 +124,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.amps, copy=True, validate=False)
 
-    def renormalize(self) -> None:
-        self.amps /= np.linalg.norm(self.amps)
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 

@@ -42,7 +42,7 @@ def test_run_qaoa_record_and_schema(tmp_path):
     code = run_cli(
         "run-qaoa", "--generate", "4,7", "--mixer", "cg", "--layers", "1",
         "--schedule", "eta=0.1", "--restarts", "8", "--budget", "2000",
-        "--seed", "1", "--jobs", "1", "--out", str(out), "--csv", str(csv_path),
+        "--seed", "1", "--out", str(out), "--csv", str(csv_path),
     )
     assert code == 0
     record = json.loads(out.read_text())
@@ -65,7 +65,7 @@ def test_run_qaoa_is_deterministic(tmp_path):
         assert run_cli(
             "run-qaoa", "--generate", "4,3", "--mixer", "x", "--layers", "1",
             "--schedule", "eta=0.4", "--restarts", "6", "--budget", "1200",
-            "--seed", "9", "--jobs", "1", "--out", str(out),
+            "--seed", "9", "--out", str(out),
         ) == 0
         outs.append(json.loads(out.read_text()))
     a, b = outs
@@ -78,7 +78,7 @@ def test_manual_zero_schedule_is_unmeasured_passthrough(tmp_path):
     assert run_cli(
         "run-qaoa", "--generate", "4,7", "--mixer", "x", "--layers", "1",
         "--schedule", "manual=0", "--restarts", "6", "--budget", "1500",
-        "--seed", "4", "--jobs", "1", "--out", str(out),
+        "--seed", "4", "--out", str(out),
     ) == 0
     record = json.loads(out.read_text())
     assert record["metrics"]["total_measurements"] == 0.0
@@ -133,12 +133,63 @@ def test_malformed_qubit_cap_is_a_validation_error(
     assert message in capsys.readouterr().err
 
 
+def _exit_code(*args) -> int:
+    """Exit code of ``main``, including argparse's own ``SystemExit``."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+NINE_VARIABLES = "1,1,1,1,1,1,1,1,1 LEQ 3"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["run-qaoa", "--generate", "4,7", "--layers", "0"],
+                     "at least one parameter", id="run-qaoa-layers-0"),
+        pytest.param(["run-lvqe", "--generate", "4,7", "--layers", "-1"],
+                     "at least one parameter", id="run-lvqe-layers-minus-1"),
+        pytest.param(["run-lvqe", "--generate", "4,7", "--restarts", "0"],
+                     "at least one restart", id="run-lvqe-restarts-0"),
+        pytest.param(["run-lvqe", "--generate", "4,7", "--measurements", "-1",
+                      "--restarts", "1", "--budget", "2"],
+                     "measurement count must be non-negative", id="run-lvqe-measurements"),
+        pytest.param(["scaling-table", "--num-qubits", "3", "--deltas", "0.1",
+                      "--layers", "0", "--csv", "OUT"],
+                     "layer count must be positive", id="scaling-table-layers-0"),
+        pytest.param(["scaling-table", "--num-qubits", "20", "--deltas", "0.1", "--csv", "OUT"],
+                     "register size 20 exceeds the cap", id="scaling-table-20-qubits"),
+        pytest.param(["compile-oracle", "--constraint", NINE_VARIABLES, "--precision", "4",
+                      "--verify"],
+                     "branch-enumeration cap", id="compile-oracle-13-qubits"),
+        pytest.param(["run-qaoa", "--generate", "4,7", "--restarts", "1", "--budget", "2",
+                      "--jobs", "2"],
+                     "invalid choice: 2", id="run-qaoa-jobs-2"),
+        pytest.param(["run-lvqe", "--generate", "4,7", "--restarts", "1", "--budget", "2",
+                      "--jobs", "2"],
+                     "invalid choice: 2", id="run-lvqe-jobs-2"),
+        pytest.param(["sweep", "eta", "--generate", "4,7", "--etas", "1.6", "--restarts", "1",
+                      "--budget", "2", "--csv", "OUT", "--out", "OUT"],
+                     "unrecognized arguments: --out", id="sweep-out"),
+    ],
+)
+def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, args, message):
+    """Bad input ends with exit code 2 and one message on stderr, whether
+    argparse or the library refuses it."""
+    monkeypatch.delenv("ZENO_MAX_QUBITS", raising=False)
+    args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
+    assert _exit_code(*args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_penalty_run_emits_r_penalty(tmp_path):
     out = tmp_path / "pen.json"
     assert run_cli(
         "run-qaoa", "--generate", "4,7", "--mixer", "x", "--layers", "1",
         "--penalty", "2.0", "--restarts", "6", "--budget", "1500",
-        "--seed", "3", "--jobs", "1", "--out", str(out),
+        "--seed", "3", "--out", str(out),
     ) == 0
     record = json.loads(out.read_text())
     assert "r_penalty" in record["metrics"]
@@ -153,7 +204,7 @@ def test_instance_file_round_trip(tmp_path):
     assert run_cli(
         "run-qaoa", "--instance", str(path), "--layers", "1",
         "--schedule", "eta=0.4", "--restarts", "4", "--budget", "800",
-        "--seed", "0", "--jobs", "1", "--out", str(out),
+        "--seed", "0", "--out", str(out),
     ) == 0
     record = json.loads(out.read_text())
     assert record["instance"] == inst.to_dict()
@@ -177,8 +228,7 @@ def test_run_lvqe(tmp_path):
     out = tmp_path / "lvqe.json"
     assert run_cli(
         "run-lvqe", "--generate", "4,7", "--layers", "1", "--measurements", "50",
-        "--restarts", "6", "--budget", "3000", "--seed", "2", "--jobs", "1",
-        "--out", str(out),
+        "--restarts", "6", "--budget", "3000", "--seed", "2", "--out", str(out),
     ) == 0
     record = json.loads(out.read_text())
     _, record_schema, registry = load_schemas()
@@ -191,7 +241,7 @@ def test_run_lvqe_default_restarts(tmp_path):
     out = tmp_path / "lvqe.json"
     assert run_cli(
         "run-lvqe", "--generate", "4,7", "--measurements", "5", "--budget", "40",
-        "--jobs", "1", "--out", str(out),
+        "--out", str(out),
     ) == 0
     record = json.loads(out.read_text())
     assert record["optimizer"]["restarts"] == 20
@@ -220,7 +270,7 @@ def test_sweep_transfer_from_source(tmp_path):
     assert run_cli(
         "run-qaoa", "--generate", "4,7", "--mixer", "x", "--layers", "1",
         "--schedule", "eta=1.6", "--restarts", "6", "--budget", "1500",
-        "--seed", "8", "--jobs", "1", "--out", str(out),
+        "--seed", "8", "--out", str(out),
     ) == 0
     csv_path = tmp_path / "transfer.csv"
     assert run_cli(

@@ -79,6 +79,22 @@ def test_optimized_lvqe_reaches_high_feasibility(bundle4):
     assert metrics["total_measurements"] == 100.0
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda b, **kw: experiments.optimize_zeno_qaoa(
+            b, "x", 1, zeno.ZenoSchedule.from_eta(1.6), **kw
+        ),
+        lambda b, **kw: experiments.optimize_penalty_qaoa(b, [1.0], "x", 1, **kw),
+        lambda b, **kw: experiments.optimize_lvqe(b, 1, 5, **kw),
+    ],
+    ids=["zeno", "penalty", "lvqe"],
+)
+def test_restarts_only_run_serially(bundle4, run):
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        run(bundle4, restarts=1, budget=2, jobs=2)
+
+
 def test_sweep_worker_and_sorting():
     inst = problems.generate_instance(4, 7)
     points = [

@@ -20,8 +20,8 @@ KEYS = ("r", "in_constraint_prob", "total_measurements")
 
 def _rows(args, tmp_path):
     out = tmp_path / "out"
-    flag = "--csv" if args[0] == "sweep" else "--out"
-    assert main([*args, "--jobs", "1", flag, str(out)]) == 0
+    flags = ["--jobs", "1", "--csv"] if args[0] == "sweep" else ["--out"]
+    assert main([*args, *flags, str(out)]) == 0
     if args[0] == "sweep":
         with open(out) as fh:
             return [{k: float(row[k]) for k in KEYS} for row in csv.DictReader(fh)]

@@ -17,14 +17,11 @@ from zenopt.oraclesim import (
     count_resources,
     enumerate_branches,
     fourier_load_polynomial,
-    from_twos_complement,
     induced_superoperator,
     measurement_kraus,
     qft_circuit,
     sample,
     semiclassical_inverse_qft,
-    twos_complement,
-    twos_complement_bits,
     unitary_matrix,
     FixedPointPoly,
 )
@@ -242,25 +239,6 @@ def test_batched_enumeration_equals_single_inputs(circ, k, seed):
                 np.testing.assert_allclose(br.amps[:, j], single[key].amps, rtol=0, atol=1e-12)
             else:
                 assert np.max(np.abs(br.amps[:, j])) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Two's complement
-# ---------------------------------------------------------------------------
-
-
-def test_twos_complement_examples():
-    assert twos_complement(-3, 4) == "1101"
-    assert twos_complement(0, 6) == "000000"
-    assert twos_complement_bits(-3, 4) == (1, 0, 1, 1)
-    with pytest.raises(OverflowError):
-        twos_complement(8, 4)
-
-
-@settings(max_examples=64, deadline=None)
-@given(st.integers(min_value=-8, max_value=7))
-def test_twos_complement_round_trip(value):
-    assert from_twos_complement(twos_complement(value, 4)) == value
 
 
 # ---------------------------------------------------------------------------
