@@ -4,9 +4,9 @@ Three families: QAOA with measured mixer blocks (phase layers are diagonal
 and cannot violate constraints, so only the mixing layers are measured, which
 halves the measurement cost versus measuring every block), the penalty-term
 QAOA baseline (pure-state, measurement-free, on the slack-extended register),
-and a layered hardware-efficient circuit whose CNOTs are folded into
-two-local generators so the whole circuit is a product of parameterized
-exponentials that a measured block can rescale.
+and a layered hardware-efficient circuit whose CNOTs are folded into one
+generator per rotation layer, so the whole circuit is a product of
+parameterized exponentials that a measured block can rescale.
 """
 
 from __future__ import annotations
@@ -224,44 +224,32 @@ def _ladder_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def _pauli_y(n: int, qubit: int) -> np.ndarray:
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim)
-    flipped = idx ^ (1 << qubit)
-    bit = (idx >> qubit) & 1
-    # Y|0> = i|1>, Y|1> = -i|0>
-    mat[flipped, idx] = np.where(bit == 0, 1j, -1j)
-    return mat
-
-
 def lvqe_generators(params: LvqeParams) -> list[tuple[DenseHermitian, float]]:
-    """Fold the layered circuit into a product of parameterized exponentials.
+    """Fold the layered circuit into one generator per rotation layer.
 
     Pushing every CNOT ladder through the later rotation layers conjugates
     each single-qubit Y into a Pauli string, and the leftover ladders act on
-    the all-zeros initial state as the identity. The result is an ordered
-    list of (involutory generator, angle) pairs equivalent to the original
-    gate sequence, which is exactly what a measured block can rescale.
+    the all-zeros initial state as the identity. A layer's strings share the
+    ladder permutation C, so they commute and the layer is exactly
+    exp(-i*H) with H = sum_k (theta_k / 2) * C Y_k C^T. The result is an
+    ordered list of (generator, 1.0) pairs equivalent to the original gate
+    sequence, which is exactly what a measured block can rescale.
     """
-    n, p = params.n, params.p
+    n = params.n
     perm = _ladder_permutation(n)
+    idx = np.arange(1 << n, dtype=np.int64)
+    flipped = idx ^ (1 << np.arange(n))[:, None]  # (n, 2^n): row k flips qubit k
+    # Y|0> = i|1>, Y|1> = -i|0>
+    y_sign = 1j * (1.0 - 2.0 * ops.bit_matrix(n).T)
 
-    # perm_pow[j] = permutation of ladder^j
-    perm_pow = [np.arange(1 << n, dtype=np.int64)]
-    for _ in range(p):
-        perm_pow.append(perm[perm_pow[-1]])
-
-    all_rows = [params.theta0, *params.layer_thetas]
+    conj = idx  # permutation of ladder^(p - layer), built from the last layer back
     gens: list[tuple[DenseHermitian, float]] = []
-    for layer, row in enumerate(all_rows):
-        conj = perm_pow[p - layer]
-        for k in range(n):
-            y = _pauli_y(n, k)
-            g = np.zeros_like(y)
-            g[np.ix_(conj, conj)] = y
-            gens.append((DenseHermitian(g), row[k] / 2.0))
-    return gens
+    for row in reversed([params.theta0, *params.layer_thetas]):
+        h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        h[conj[flipped], conj] = (0.5 * np.asarray(row))[:, None] * y_sign
+        gens.append((DenseHermitian(h), 1.0))
+        conj = perm[conj]
+    return gens[::-1]
 
 
 def run_lvqe_zeno(

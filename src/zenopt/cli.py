@@ -302,6 +302,7 @@ def cmd_sweep(args) -> int:
     elif kind == "lambda":
         grid1 = _parse_floats(args.lambdas or "")
         grid2 = _parse_floats(args.lambdas2) if args.lambdas2 else None
+        problems.check_penalty_factors(grid1 + (grid2 or []))
         expected = 2 if grid2 else 1
         if len(inst.constraints) != expected:
             raise CliError(

@@ -114,6 +114,8 @@ def optimize_params(
                 trace.append((count, v))
         if val < best_val:
             best_x, best_val = x, val
+    if not math.isfinite(best_val):
+        raise ValueError("no restart ended at a finite objective value")
 
     return OptimizationReport(
         best_params=best_x,

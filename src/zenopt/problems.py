@@ -287,6 +287,15 @@ class PenaltyRelaxation:
         return self.instance.n + self.n_slack
 
 
+def check_penalty_factors(lambdas) -> tuple[float, ...]:
+    """The penalty factors as floats; each must be finite and non-negative."""
+    lambdas = tuple(float(v) for v in lambdas)
+    for v in lambdas:
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"penalty factors must be finite and non-negative, got {v}")
+    return lambdas
+
+
 def penalty_objective(
     inst: PortfolioInstance,
     lambdas,
@@ -300,11 +309,9 @@ def penalty_objective(
     lambda*(g(x) - dg*sum_j 2^(j-1) s_j)^2. The spacing dg defaults to 1 for
     integer-coefficient constraints and must be supplied otherwise.
     """
-    lambdas = tuple(float(v) for v in lambdas)
+    lambdas = check_penalty_factors(lambdas)
     if len(lambdas) != len(inst.constraints):
         raise ValueError("one lambda per constraint is required")
-    if any(v < 0 for v in lambdas):
-        raise ValueError("penalty factors must be non-negative")
     if slack_spacings is None:
         slack_spacings = [None] * len(inst.constraints)
     if len(slack_spacings) != len(inst.constraints):

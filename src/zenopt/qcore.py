@@ -345,12 +345,13 @@ class RankOneUniform(Generator):
 class DenseHermitian(Generator):
     """Arbitrary Hermitian generator, exponentiated via eigendecomposition.
 
-    If the matrix squares to the identity (Pauli strings, folded two-local
-    gates), the propagator collapses to the closed form
-    cos(a)*I - i*sin(a)*H and the eigendecomposition is skipped.
+    If the matrix squares to the identity (Pauli strings), the propagator
+    collapses to the closed form cos(a)*I - i*sin(a)*H and the
+    eigendecomposition is skipped. The last (angle, propagator) pair is kept,
+    read-only, so a measured block that repeats an angle builds it once.
     """
 
-    __slots__ = ("n", "mat", "_eig", "_involution")
+    __slots__ = ("n", "mat", "_eig", "_involution", "_last")
 
     def __init__(self, mat: np.ndarray):
         mat = np.array(mat, dtype=np.complex128)
@@ -360,6 +361,7 @@ class DenseHermitian(Generator):
         self.mat = (mat + mat.conj().T) / 2.0
         self.mat.setflags(write=False)
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._last: tuple[float | None, np.ndarray | None] = (None, None)
         sq = self.mat @ self.mat
         self._involution = bool(np.max(np.abs(sq - np.eye(self.dim))) < 1e-12)
 
@@ -377,10 +379,16 @@ class DenseHermitian(Generator):
         return self._eig
 
     def propagator(self, angle: float) -> np.ndarray:
+        if self._last[0] == angle:
+            return self._last[1]
         if self._involution:
-            return np.cos(angle) * np.eye(self.dim) - 1j * np.sin(angle) * self.mat
-        w, v = self.eigensystem()
-        return (v * np.exp(-1j * angle * w)) @ v.conj().T
+            u = np.cos(angle) * np.eye(self.dim) - 1j * np.sin(angle) * self.mat
+        else:
+            w, v = self.eigensystem()
+            u = (v * np.exp(-1j * angle * w)) @ v.conj().T
+        u.setflags(write=False)
+        self._last = (angle, u)
+        return u
 
     _propagator = propagator
 

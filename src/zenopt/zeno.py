@@ -197,8 +197,8 @@ def schedule_cor3(mixer: Generator, beta: float, p: int, delta: float) -> int:
 
 def schedule_eta(beta: float, eta: float) -> int:
     """Relaxed heuristic count N = ceil(beta^2 / eta), clamped to >= 1."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     return _clamped_ceil(beta**2 / eta)
 
 
@@ -263,8 +263,9 @@ class ZenoSchedule:
             if self.delta is None:
                 raise ValueError(f"rule {self.rule!r} needs delta")
             _check_delta(self.delta)
-        if self.rule == "eta" and (self.eta is None or self.eta <= 0):
-            raise ValueError("rule 'eta' needs a positive eta")
+        if self.rule == "eta":
+            if self.eta is None or not (math.isfinite(self.eta) and self.eta > 0):
+                raise ValueError(f"rule 'eta' needs a finite positive eta, got {self.eta}")
         if self.rule == "manual":
             if self.counts is None or any(c < 0 for c in self.counts):
                 raise ValueError("rule 'manual' needs non-negative counts")

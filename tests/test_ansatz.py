@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from zenopt import problems
 from zenopt.ansatz import (
     AdiabaticConfig,
     LvqeParams,
     QaoaParams,
+    _ladder_permutation,
     adiabatic_schedule,
     lvqe_generators,
     lvqe_statevector,
@@ -199,10 +201,72 @@ def test_folded_generators_match_direct_gates(n, p, seed):
     np.testing.assert_allclose(psi.amps, oracle, atol=1e-10)
 
 
-def test_folded_generators_are_involutions():
-    params = LvqeParams.from_flat(3, 2, np.linspace(-1, 1, 9))
-    for gen, _ in lvqe_generators(params):
-        assert gen.is_involution
+def per_qubit_fold(params: LvqeParams) -> list[list[tuple[np.ndarray, float]]]:
+    """Reference: the fold as one involutory Pauli string per qubit, grouped
+    by rotation layer, as (dense matrix, angle) pairs."""
+    n, p = params.n, params.p
+    dim = 1 << n
+    idx = np.arange(dim)
+    perm_pow = [idx]
+    for _ in range(p):
+        perm_pow.append(_ladder_permutation(n)[perm_pow[-1]])
+    layers = []
+    for layer, row in enumerate([params.theta0, *params.layer_thetas]):
+        conj = perm_pow[p - layer]
+        strings = []
+        for k in range(n):
+            y = np.zeros((dim, dim), dtype=complex)
+            y[idx ^ (1 << k), idx] = np.where((idx >> k) & 1 == 0, 1j, -1j)
+            g = np.zeros_like(y)
+            g[np.ix_(conj, conj)] = y
+            strings.append((g, row[k] / 2.0))
+        layers.append(strings)
+    return layers
+
+
+def reference_lvqe(params: LvqeParams, m: Measurement, n_measurements: int) -> np.ndarray:
+    """Dense measured block over the per-qubit fold: N passes of every
+    Pauli-string exponential at angle/N, each followed by sum_j P_j rho P_j."""
+    dim = 1 << params.n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    steps = max(1, n_measurements)
+    strings = [pair for layer in per_qubit_fold(params) for pair in layer]
+    for _ in range(steps):
+        for g, angle in strings:
+            u = expm(-1j * (angle / steps) * g)
+            rho = u @ rho @ u.conj().T
+        if n_measurements:
+            rho = sum(proj.matrix() @ rho @ proj.matrix() for proj in m.projectors)
+    return rho
+
+
+FOLD_CASES = [(2, 1, 0), (3, 2, 1), (4, 1, 2), (3, 3, 5)]
+
+
+@pytest.mark.parametrize("n,p,seed", FOLD_CASES)
+def test_layer_generator_equals_product_of_pauli_strings(n, p, seed):
+    rng = np.random.default_rng(seed)
+    params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
+    gens = lvqe_generators(params)
+    reference = per_qubit_fold(params)
+    assert len(gens) == p + 1
+    for (gen, angle), strings in zip(gens, reference):
+        product = np.eye(1 << n, dtype=complex)
+        for g, theta in strings:
+            product = expm(-1j * theta * g) @ product
+        np.testing.assert_allclose(expm(-1j * angle * gen.materialize()), product, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_measurements", [0, 1, 3, 20])
+@pytest.mark.parametrize("n,p,seed", FOLD_CASES)
+def test_lvqe_measured_block_matches_per_qubit_fold(n, p, seed, n_measurements):
+    rng = np.random.default_rng(seed)
+    params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
+    feasible = Projector(n, np.flatnonzero(rng.random(1 << n) < 0.5).tolist() + [0])
+    m = Measurement.two_outcome(feasible)
+    rho = run_lvqe_zeno(m, params, n_measurements)
+    np.testing.assert_allclose(rho.mat, reference_lvqe(params, m, n_measurements), atol=1e-12)
 
 
 def test_lvqe_zero_angles_is_ground_state():

@@ -184,6 +184,31 @@ def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["run-qaoa", "--penalty", "nan"],
+                     "penalty factors must be finite and non-negative, got nan", id="penalty-nan"),
+        pytest.param(["run-qaoa", "--penalty", "inf"],
+                     "penalty factors must be finite and non-negative, got inf", id="penalty-inf"),
+        pytest.param(["sweep", "lambda", "--lambdas", "nan,1", "--csv", "OUT"],
+                     "penalty factors must be finite and non-negative, got nan", id="lambdas-nan"),
+        pytest.param(["run-qaoa", "--schedule", "eta=nan"],
+                     "needs a finite positive eta, got nan", id="schedule-eta-nan"),
+        pytest.param(["run-qaoa", "--schedule", "eta=inf"],
+                     "needs a finite positive eta, got inf", id="schedule-eta-inf"),
+        pytest.param(["sweep", "eta", "--etas", "nan", "--csv", "OUT"],
+                     "needs a finite positive eta, got nan", id="etas-nan"),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, args, message):
+    """A NaN or infinite penalty factor or eta is refused by name."""
+    args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
+    small = ["--generate", "4,7", "--restarts", "1", "--budget", "4"]
+    assert _exit_code(*args, *small) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_penalty_run_emits_r_penalty(tmp_path):
     out = tmp_path / "pen.json"
     assert run_cli(
@@ -223,7 +248,6 @@ def test_infeasible_instance_exit_code(tmp_path):
     ) == 3
 
 
-@pytest.mark.slow
 def test_run_lvqe(tmp_path):
     out = tmp_path / "lvqe.json"
     assert run_cli(

@@ -68,7 +68,6 @@ def test_lambda_transfer_collapses_to_baseline():
     assert far["r"] <= r_uniform + 0.05
 
 
-@pytest.mark.slow
 def test_optimized_lvqe_reaches_high_feasibility(bundle4):
     """Single measured block with 100 passes, optimized: near-unit feasible
     probability and near-optimal conditional quality on the 4-asset case."""

@@ -68,6 +68,8 @@ def test_invalid_inputs():
         optimize_params(lambda x: 0.0, 1, [(0.0, 1.0)], restarts=0, seed=0, budget=10)
     with pytest.raises(ValueError):
         optimize_params(lambda x: 0.0, 1, [(0.0, 1.0)], restarts=1, seed=0, budget=0)
+    with pytest.raises(ValueError, match="no restart ended at a finite objective value"):
+        optimize_params(lambda x: float("nan"), 1, [(0.0, 1.0)], restarts=2, seed=0, budget=10)
 
 
 def test_qaoa_energy_matches_grid_search_oracle():

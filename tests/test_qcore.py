@@ -204,6 +204,42 @@ def test_involution_uses_closed_form():
     np.testing.assert_allclose(gen.propagator(angle), expected, atol=1e-14)
 
 
+def _memo_matrix(involution):
+    if involution:
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return np.kron(x, x)
+    return _random_hermitian(2, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("involution", [True, False], ids=["involution", "eigh"])
+def test_dense_propagator_memo(involution):
+    mat = _memo_matrix(involution)
+    gen = DenseHermitian(mat)
+    assert gen.is_involution is involution
+    first = gen.propagator(0.37)
+    assert not first.flags.writeable
+    assert gen.propagator(0.37) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    second = gen.propagator(-1.2)
+    assert second is not first and not second.flags.writeable
+    np.testing.assert_array_equal(second, DenseHermitian(mat).propagator(-1.2))
+    np.testing.assert_array_equal(gen.propagator(0.37), DenseHermitian(mat).propagator(0.37))
+
+
+@pytest.mark.parametrize("involution", [True, False], ids=["involution", "eigh"])
+def test_zeno_block_independent_of_earlier_angles(involution):
+    mat = _memo_matrix(involution)
+    m = Measurement.two_outcome(Projector(2, [0, 3]))
+    start = StateVector.basis(2, 0)
+    fresh = zeno_block(start.copy(), [(DenseHermitian(mat), 0.9)], m, 7)
+    used = DenseHermitian(mat)
+    for angle in (0.2, 0.9 / 7 + 1e-3, -0.5):
+        apply_evolution(StateVector.basis(2, 0), used, angle)
+    again = zeno_block(start.copy(), [(used, 0.9)], m, 7)
+    np.testing.assert_array_equal(again.mat, fresh.mat)
+
+
 # ---------------------------------------------------------------------------
 # Differential test: every generator kind against scipy expm conjugation
 # ---------------------------------------------------------------------------

@@ -209,8 +209,9 @@ def test_schedule_eta_values():
     assert schedule_eta(1.6, 1.6) == 2
     assert schedule_eta(0.0, 0.7) == 1
     assert schedule_eta(1.0, 0.01) == 100
-    with pytest.raises(ValueError):
-        schedule_eta(1.0, 0.0)
+    for eta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            schedule_eta(1.0, eta)
 
 
 def test_repetitions_cor2_values():
