@@ -7,21 +7,22 @@ and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
 
 Each generator kind has one evolution kernel, which applies exp(-i*a*G)
-along one axis of a state array; :func:`apply_evolution` is the only
-evolution code that tells pure from mixed states. A state vector is the
-kernel applied to its amplitudes; a density matrix is the kernel applied
-along its rows, then along its columns with the complex-conjugate
-propagator. No structured generator is materialized for evolution: a
-diagonal acts by phases, the rank-one projector by a sum, and the
-transverse field by dense Kronecker blocks of at most ``_BLOCK_QUBITS``
-qubits, each applied by one matrix product. A dense generator is
-exponentiated through its eigendecomposition, exact for Hermitian input
-and reusable across angles. Only :func:`expectation` of a non-diagonal
-observable, which no evolution loop needs, materializes the generator.
+along one axis of a state array, and a density step, by default the kernel
+along the rows, then the columns with the conjugate propagator;
+:func:`apply_evolution` is the only code that tells pure from mixed. No
+structured generator is materialized for evolution: a diagonal acts by
+phases, the rank-one projector by a sum, and the transverse field as
+D R D, phases around real Kronecker blocks kept for the last angle; its
+density step uses that a density matrix is Hermitian to swap the column
+pass for a conjugate transpose. A dense generator is exponentiated through
+its eigendecomposition, exact for Hermitian input and reusable across
+angles. Only :func:`expectation` of a non-diagonal observable, which no
+evolution loop needs, materializes the generator.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 
@@ -202,23 +203,15 @@ def as_density(state: State) -> DensityMatrix:
 
 
 def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1, out=None):
-    """Apply the ``2^k x 2^k`` matrix ``u`` to qubits ``q .. q+k-1`` of the
-    ``2^n`` axis of ``arr`` viewed as ``(pre, 2^n, post)``. The result goes
-    into ``out`` when that is a C-contiguous array of ``arr``'s shape that
-    does not overlap it, else into a new array; returns the result."""
-    size = u.shape[0]
-    inner = (1 << q) * post
+    """Apply the real ``2^k x 2^k`` matrix ``u`` to qubits ``q .. q+k-1`` of
+    the complex ``arr`` viewed as ``(pre, 2^n, post)``, on its float64 view.
+    The result goes into ``out`` when that is a C-contiguous array of
+    ``arr``'s shape that does not overlap it, else a new array; returns it."""
+    shape = (-1, u.shape[0], 2 * (1 << q) * post)
     if out is None or not out.flags.c_contiguous:
-        out = np.empty(arr.shape, dtype=np.result_type(arr, u))
-    if inner > 1:
-        np.matmul(u, arr.reshape(-1, size, inner), out=out.reshape(-1, size, inner))
-        return out
-    # The block sits on the fastest axis. One tall (arr.size / 2^k, 2^k)
-    # product raised the peak memory of a 10-qubit density-matrix step by a
-    # full extra copy under two OpenBLAS threads, so stack pieces of at most
-    # 2^k rows instead.
-    shape = (-1, min(arr.size // size, size), size)
-    np.matmul(arr.reshape(shape), u.T, out=out.reshape(shape))
+        out = np.empty(arr.shape, dtype=np.complex128)
+    floats = np.ascontiguousarray(arr).view(np.float64)
+    np.matmul(u, floats.reshape(shape), out=out.view(np.float64).reshape(shape))
     return out
 
 
@@ -226,10 +219,11 @@ class Generator:
     """Hermitian generator of a one-parameter unitary family exp(-i*a*G).
 
     Its kernel: ``_propagator(angle)`` gives exp(-i*angle*G) in a compact
-    form whose elementwise conjugate is the conjugate propagator's form, and
-    ``_evolve(arr, prop, pre, post)`` applies a form along the middle axis of
-    ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result, which may
-    overwrite ``arr``.
+    form, ``_evolve(arr, prop, pre, post)`` applies a form along the middle
+    axis of ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result,
+    which may overwrite ``arr``, and ``_evolve_density(mat, prop)`` conjugates
+    a density matrix by it: by default the rows, then the columns with the
+    elementwise conjugate form, which must be the conjugate propagator's.
     """
 
     n: int
@@ -243,6 +237,10 @@ class Generator:
 
     def _propagator(self, angle: float):
         raise TypeError(f"unknown generator type {type(self).__name__}")
+
+    def _evolve_density(self, mat, prop):
+        mat = self._evolve(mat, prop, 1, self.dim)
+        return self._evolve(mat, np.conj(prop), self.dim, 1)
 
 
 class Diagonal(Generator):
@@ -270,24 +268,33 @@ class Diagonal(Generator):
 class TransverseField(Generator):
     """Sum of single-qubit Pauli-X terms.
 
-    Its propagator is the n-fold tensor power of one X rotation, applied as
-    dense Kronecker blocks over balanced contiguous groups of at most
-    ``_BLOCK_QUBITS`` qubits; the full 2^n x 2^n matrix is never built.
+    Its propagator is exp(-i*a*X)^(x)n = D R D with phases D = diag(1, -i)^(x)n
+    and R = [[c, s], [s, -c]]^(x)n applied as real Kronecker blocks of at most
+    ``_BLOCK_QUBITS`` qubits, kept read-only for the last angle. As rho and
+    B = D rho D^H are Hermitian, so is R B R = R A^H with A = R B: the density
+    step is row products, a conjugate transpose and row products again.
     """
 
-    __slots__ = ("n", "_groups", "_hamming")
+    __slots__ = ("n", "_groups", "_index", "_phase", "_dm_phase", "_last")
 
     def __init__(self, n: int):
         self.n = check_num_qubits(n)
         n_groups = -(-self.n // _BLOCK_QUBITS)
         sizes = [len(g) for g in np.array_split(np.arange(self.n), n_groups)]
         self._groups = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
-        # Hamming distance between group basis states; a smaller group's
-        # table is its top-left corner.
-        idx = np.arange(1 << sizes[0])
-        diff = idx[:, None] ^ idx[None, :]
-        self._hamming = sum((diff >> j) & 1 for j in range(sizes[0]))
-        self._hamming.setflags(write=False)
+        # Entry (a, b) of a k-qubit block is c^(k-w) s^w with w = |a ^ b|,
+        # negated when |a & b| is odd: entry _index[k][a, b] of (v, -v).
+        self._index = {}
+        for k in set(sizes):
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+            odd = (bits[:, None] & bits).sum(2) & 1
+            self._index[k] = (bits[:, None] ^ bits).sum(2) + (k + 1) * odd
+        weight = ((np.arange(self.dim)[:, None] >> np.arange(self.n)) & 1).sum(1)
+        self._phase = np.array([1, -1j, -1, 1j])[weight & 3]
+        # D rho D^H takes one pass with a phase table up to 64 x 64, else two.
+        rows, cols = self._phase[:, None], self._phase.conj()
+        self._dm_phase = (rows * cols,) if self.n <= _BLOCK_QUBITS else (rows, cols)
+        self._last: tuple[float | None, tuple] = (None, ())
 
     def materialize(self) -> np.ndarray:
         dim = self.dim
@@ -297,27 +304,40 @@ class TransverseField(Generator):
             mat[idx ^ (1 << k), idx] += 1.0
         return mat
 
-    def _propagator(self, angle: float) -> np.ndarray:
-        """The single-qubit X rotation; the terms commute, so the propagator
-        is its n-fold tensor power."""
-        c, s = np.cos(angle), np.sin(angle)
-        return np.array([[c, -1j * s], [-1j * s, c]])
+    def _propagator(self, angle: float) -> tuple:
+        if self._last[0] == angle:
+            return self._last[1]
+        c, s = math.cos(angle), math.sin(angle)
+        made = {}
+        for k in self._index:
+            v = [c ** (k - w) * s ** w for w in range(k + 1)]
+            made[k] = np.array(v + [-x for x in v])[self._index[k]]
+            made[k].setflags(write=False)
+        self._last = (angle, tuple(made[k] for _, k in self._groups))
+        return self._last[1]
 
-    def _evolve(self, arr, u, pre, post):
-        # Entry (a, b) of the k-fold power of [[c, m], [m, c]] is
-        # c^(k-w) * m^w with w the Hamming distance between a and b.
-        # From the second group on, each product goes into the buffer that
-        # the group before last has finished reading (the input, like the
-        # diagonal kernel, is overwritten), so a step holds one extra array.
-        c, m = u[0, 0], u[0, 1]
-        blocks = {}
-        spare = None
-        for q, k in self._groups:
-            if k not in blocks:
-                w = np.arange(k + 1)
-                blocks[k] = (c ** (k - w) * m ** w)[self._hamming[: 1 << k, : 1 << k]]
-            spare, arr = arr, _apply_block(arr, blocks[k], q, post, out=spare)
+    def _rows(self, arr, blocks, post, spare=None):
+        # From the second group on, each product goes into the buffer the
+        # group before last has read, so a pass allocates one extra array.
+        for (q, _), block in zip(self._groups, blocks):
+            spare, arr = arr, _apply_block(arr, block, q, post, out=spare)
+        return arr, spare
+
+    def _evolve(self, arr, blocks, pre, post):
+        arr *= self._phase
+        arr = self._rows(arr, blocks, 1)[0]
+        arr *= self._phase
         return arr
+
+    def _evolve_density(self, mat, blocks):
+        for phase in self._dm_phase:
+            mat *= phase
+        a, spare = self._rows(mat, blocks, self.dim)
+        np.conjugate(a.T, out=spare)
+        mat = self._rows(spare, blocks, self.dim, a)[0]
+        for phase in self._dm_phase:
+            mat *= phase
+        return mat
 
 
 class RankOneUniform(Generator):
@@ -362,8 +382,10 @@ class DenseHermitian(Generator):
         self.mat.setflags(write=False)
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._last: tuple[float | None, np.ndarray | None] = (None, None)
-        sq = self.mat @ self.mat
-        self._involution = bool(np.max(np.abs(sq - np.eye(self.dim))) < 1e-12)
+        # An involution has ||H||_F^2 = Tr H^2 = d: an O(d^2) test first.
+        dim = self.dim
+        near = bool(abs(np.vdot(self.mat, self.mat).real - dim) <= dim * 1e-9)
+        self._involution = near and bool(np.max(np.abs(self.mat @ self.mat - np.eye(dim))) < 1e-12)
 
     def materialize(self) -> np.ndarray:
         return np.array(self.mat)
@@ -405,6 +427,9 @@ class DenseHermitian(Generator):
 
 
 def _check_angle(angle: float) -> float:
+    # A float skips the numbers.Real ABC check and np.isfinite, ~1 us each.
+    if isinstance(angle, float) and math.isfinite(angle):
+        return float(angle)
     if not isinstance(angle, numbers.Real) or not np.isfinite(angle):
         raise ValueError(f"evolution angle must be a finite real, got {angle!r}")
     return float(angle)
@@ -418,9 +443,8 @@ def _check_dims(state: State, g: Generator) -> None:
 def apply_evolution(state: State, g: Generator, angle: float) -> State:
     """Conjugate ``state`` by exp(-i*angle*g), in place, and return it.
 
-    The generator's kernel acts on the amplitudes of a pure state, and on
-    the rows and then the columns (with the conjugate propagator) of a
-    density matrix.
+    The generator's kernel acts on the amplitudes of a pure state; its
+    density step conjugates a density matrix.
     """
     angle = _check_angle(angle)
     _check_dims(state, g)
@@ -428,9 +452,7 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
     if isinstance(state, StateVector):
         state.amps = g._evolve(state.amps, prop, 1, 1)
     else:
-        dim = state.dim
-        state.mat = g._evolve(state.mat, prop, 1, dim)
-        state.mat = g._evolve(state.mat, np.conj(prop), dim, 1)
+        state.mat = g._evolve_density(state.mat, prop)
     return state
 
 

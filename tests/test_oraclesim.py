@@ -647,7 +647,6 @@ def test_channel_distance_on_random_channels(dim, count_a, count_b, seed):
     assert channel_distance(a, mixed) <= 1e-12
 
 
-@pytest.mark.slow
 def test_gate_level_measured_qaoa_matches_matrix_level():
     """End-to-end cross-validation: a one-layer measured QAOA evolution with
     the measurement realized by the gate-level oracle channel equals the

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from zenopt.ansatz import LvqeParams, lvqe_generators
 from zenopt.operators import Measurement, Projector
 from zenopt.qcore import (
     DenseHermitian,
@@ -204,6 +205,35 @@ def test_involution_uses_closed_form():
     np.testing.assert_allclose(gen.propagator(angle), expected, atol=1e-14)
 
 
+PAULIS = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
+          np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0])]
+
+
+def _squares_to_identity(h):
+    # Reference: the O(d^3) squaring test alone, with no Frobenius-norm
+    # pre-test in front of it.
+    h = (h + h.conj().T) / 2.0
+    return bool(np.max(np.abs(h @ h - np.eye(len(h)))) < 1e-12)
+
+
+def test_involution_pretest_keeps_squaring_answer():
+    rng = np.random.default_rng(31)
+    cases = [reduce(np.kron, [PAULIS[i] for i in rng.integers(0, 4, size=n)])
+             for n in (1, 2, 3, 4) for _ in range(6)]
+    cases += [_random_hermitian(n, rng) for n in (1, 2, 3)]
+    # Tr H^2 = d but H^2 != I: the pre-test passes, the squaring refuses.
+    cases.append(np.diag([np.sqrt(2.0), 0.0]))
+    for n, p in ((1, 0), (2, 1), (3, 2)):
+        params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
+        cases += [g.materialize() for g, _ in lvqe_generators(params)]
+    # theta = 2 on one qubit folds to the involution Y.
+    cases += [g.materialize() for g, _ in lvqe_generators(LvqeParams((2.0,), ()))]
+    answers = [DenseHermitian(h).is_involution for h in cases]
+    assert answers == [_squares_to_identity(h) for h in cases]
+    assert all(type(a) is bool for a in answers)
+    assert answers[0] and not answers[-2] and answers[-1]
+
+
 def _memo_matrix(involution):
     if involution:
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -227,15 +257,43 @@ def test_dense_propagator_memo(involution):
     np.testing.assert_array_equal(gen.propagator(0.37), DenseHermitian(mat).propagator(0.37))
 
 
-@pytest.mark.parametrize("involution", [True, False], ids=["involution", "eigh"])
-def test_zeno_block_independent_of_earlier_angles(involution):
-    mat = _memo_matrix(involution)
+def test_transverse_field_block_memo():
+    # n = 7 splits into a 4-qubit and a 3-qubit group: two distinct blocks.
+    gen = TransverseField(7)
+    first = gen._propagator(0.37)
+    assert [b.shape for b in first] == [(16, 16), (8, 8)]
+    assert not any(b.flags.writeable for b in first)
+    assert gen._propagator(0.37) is first
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 0.0
+    second = gen._propagator(-1.2)
+    assert second is not first and not any(b.flags.writeable for b in second)
+    for angle in (-1.2, 0.37):
+        for used, fresh in zip(gen._propagator(angle), TransverseField(7)._propagator(angle)):
+            np.testing.assert_array_equal(used, fresh)
+    # Each block is the real factor R^(x)k of exp(-i a X)^(x)k = D R D.
+    c, s = np.cos(0.37), np.sin(0.37)
+    np.testing.assert_allclose(first[1], reduce(np.kron, [np.array([[c, s], [s, -c]])] * 3),
+                               rtol=0, atol=1e-15)
+
+
+ZENO_MEMO_GENERATORS = {
+    "involution": lambda: DenseHermitian(_memo_matrix(True)),
+    "eigh": lambda: DenseHermitian(_memo_matrix(False)),
+    "x": lambda: TransverseField(2),
+}
+
+
+@pytest.mark.parametrize("kind", list(ZENO_MEMO_GENERATORS))
+def test_zeno_block_independent_of_earlier_angles(kind):
+    make = ZENO_MEMO_GENERATORS[kind]
     m = Measurement.two_outcome(Projector(2, [0, 3]))
     start = StateVector.basis(2, 0)
-    fresh = zeno_block(start.copy(), [(DenseHermitian(mat), 0.9)], m, 7)
-    used = DenseHermitian(mat)
+    fresh = zeno_block(start.copy(), [(make(), 0.9)], m, 7)
+    used = make()
     for angle in (0.2, 0.9 / 7 + 1e-3, -0.5):
         apply_evolution(StateVector.basis(2, 0), used, angle)
+        apply_evolution(StateVector.basis(2, 0).to_density(), used, angle)
     again = zeno_block(start.copy(), [(used, 0.9)], m, 7)
     np.testing.assert_array_equal(again.mat, fresh.mat)
 
@@ -294,11 +352,12 @@ def test_apply_evolution_matches_expm(case, kind, angle):
     np.testing.assert_allclose(_dense(out), expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("mixed", [False, True])
 def test_transverse_field_multi_group_matches_reference(n, mixed):
-    # Above six qubits the x mixer is applied as several Kronecker blocks;
-    # n = 7 and 9 split unevenly.
+    # Up to six qubits the x mixer is one real Kronecker block between two
+    # phase passes; above six it takes several blocks, and n = 7 and 9 split
+    # unevenly.
     rng = np.random.default_rng(100 + 2 * n + mixed)
     gen = TransverseField(n)
     angle = float(rng.uniform(-3.0, 3.0))
