@@ -8,16 +8,15 @@ super-operator first touches them (see :mod:`zenopt.zeno`).
 
 Each generator kind has one evolution kernel, which applies exp(-i*a*G)
 along one axis of a state array, and a density step, by default the kernel
-along the rows, then the columns with the conjugate propagator;
-:func:`apply_evolution` is the only code that tells pure from mixed. No
-structured generator is materialized for evolution: a diagonal acts by
-phases, the rank-one projector by a sum, and the transverse field as
-D R D, phases around real Kronecker blocks kept for the last angle; its
-density step uses that a density matrix is Hermitian to swap the column
-pass for a conjugate transpose. A dense generator is exponentiated through
-its eigendecomposition, exact for Hermitian input and reusable across
-angles. Only :func:`expectation` of a non-diagonal observable, which no
-evolution loop needs, materializes the generator.
+along the rows and then the columns with the conjugate propagator;
+:func:`apply_evolution` alone tells pure from mixed. No structured
+generator is materialized for evolution: a diagonal acts by phases, the
+rank-one projector by a sum, and the transverse field as D R D, phases
+around real Kronecker blocks kept for the last angle, with a density step
+that uses the Hermiticity of rho. A dense generator is exponentiated
+through its eigendecomposition, exact for Hermitian input and reusable
+across angles. Only :func:`expectation` of a non-diagonal observable,
+which no evolution loop needs, materializes the generator.
 """
 
 from __future__ import annotations
@@ -218,12 +217,11 @@ def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1, out=None
 class Generator:
     """Hermitian generator of a one-parameter unitary family exp(-i*a*G).
 
-    Its kernel: ``_propagator(angle)`` gives exp(-i*angle*G) in a compact
-    form, ``_evolve(arr, prop, pre, post)`` applies a form along the middle
-    axis of ``arr`` viewed as ``(pre, 2^n, post)`` and returns the result,
-    which may overwrite ``arr``, and ``_evolve_density(mat, prop)`` conjugates
-    a density matrix by it: by default the rows, then the columns with the
-    elementwise conjugate form, which must be the conjugate propagator's.
+    ``_propagator(angle)`` gives exp(-i*angle*G) in a compact form,
+    ``_evolve(arr, prop, pre, post)`` applies it along the middle axis of
+    ``arr`` viewed as ``(pre, 2^n, post)`` (maybe in place), and
+    ``_evolve_density(mat, prop)`` conjugates a density matrix: by default
+    the rows, then the columns by ``np.conj(prop)``, the conjugate's form.
     """
 
     n: int
@@ -268,11 +266,10 @@ class Diagonal(Generator):
 class TransverseField(Generator):
     """Sum of single-qubit Pauli-X terms.
 
-    Its propagator is exp(-i*a*X)^(x)n = D R D with phases D = diag(1, -i)^(x)n
-    and R = [[c, s], [s, -c]]^(x)n applied as real Kronecker blocks of at most
-    ``_BLOCK_QUBITS`` qubits, kept read-only for the last angle. As rho and
-    B = D rho D^H are Hermitian, so is R B R = R A^H with A = R B: the density
-    step is row products, a conjugate transpose and row products again.
+    exp(-i*a*X)^(x)n = D R D: phases D = diag(1, -i)^(x)n around the real
+    R = [[c, s], [s, -c]]^(x)n, applied as Kronecker blocks of at most
+    ``_BLOCK_QUBITS`` qubits and kept read-only for the last angle. With
+    B = D rho D^H Hermitian, R B R = R (R B)^H: rows, conjugate transpose, rows.
     """
 
     __slots__ = ("n", "_groups", "_index", "_phase", "_dm_phase", "_last")
@@ -282,18 +279,17 @@ class TransverseField(Generator):
         n_groups = -(-self.n // _BLOCK_QUBITS)
         sizes = [len(g) for g in np.array_split(np.arange(self.n), n_groups)]
         self._groups = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
-        # Entry (a, b) of a k-qubit block is c^(k-w) s^w with w = |a ^ b|,
-        # negated when |a & b| is odd: entry _index[k][a, b] of (v, -v).
+        # Block entry (a, b) is c^(k-w) s^w, w = |a ^ b|, negated if |a & b| is odd.
         self._index = {}
         for k in set(sizes):
-            bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-            odd = (bits[:, None] & bits).sum(2) & 1
-            self._index[k] = (bits[:, None] ^ bits).sum(2) + (k + 1) * odd
+            a = np.arange(1 << k)
+            ones = ((a[:, None] >> np.arange(k)) & 1).sum(1)
+            self._index[k] = ones[a[:, None] ^ a] + (k + 1) * (ones[a[:, None] & a] & 1)
         weight = ((np.arange(self.dim)[:, None] >> np.arange(self.n)) & 1).sum(1)
-        self._phase = np.array([1, -1j, -1, 1j])[weight & 3]
-        # D rho D^H takes one pass with a phase table up to 64 x 64, else two.
-        rows, cols = self._phase[:, None], self._phase.conj()
-        self._dm_phase = (rows * cols,) if self.n <= _BLOCK_QUBITS else (rows, cols)
+        self._phase = np.array([1, -1j, -1, 1j])[weight & 3][:, None]
+        # D rho D^H is one product with a phase table up to 64 x 64, else two.
+        sides = (self._phase, self._phase.conj().T)
+        self._dm_phase = (sides[0] * sides[1],) if self.n <= _BLOCK_QUBITS else sides
         self._last: tuple[float | None, tuple] = (None, ())
 
     def materialize(self) -> np.ndarray:
@@ -305,29 +301,28 @@ class TransverseField(Generator):
         return mat
 
     def _propagator(self, angle: float) -> tuple:
-        if self._last[0] == angle:
-            return self._last[1]
-        c, s = math.cos(angle), math.sin(angle)
-        made = {}
-        for k in self._index:
-            v = [c ** (k - w) * s ** w for w in range(k + 1)]
-            made[k] = np.array(v + [-x for x in v])[self._index[k]]
-            made[k].setflags(write=False)
-        self._last = (angle, tuple(made[k] for _, k in self._groups))
+        if self._last[0] != angle:
+            c, s = math.cos(angle), math.sin(angle)
+            made = {}
+            for k in self._index:
+                v = [c ** (k - w) * s ** w for w in range(k + 1)]
+                made[k] = np.array(v + [-x for x in v])[self._index[k]]
+                made[k].setflags(write=False)
+            self._last = (angle, tuple(made[k] for _, k in self._groups))
         return self._last[1]
 
     def _rows(self, arr, blocks, post, spare=None):
-        # From the second group on, each product goes into the buffer the
-        # group before last has read, so a pass allocates one extra array.
+        # R on (-1, 2^n, post). Products alternate arr and spare: one extra array.
         for (q, _), block in zip(self._groups, blocks):
             spare, arr = arr, _apply_block(arr, block, q, post, out=spare)
         return arr, spare
 
     def _evolve(self, arr, blocks, pre, post):
-        arr *= self._phase
-        arr = self._rows(arr, blocks, 1)[0]
-        arr *= self._phase
-        return arr
+        view = arr.reshape(pre, self.dim, post)
+        view *= self._phase
+        view = self._rows(view, blocks, post)[0]
+        view *= self._phase
+        return view.reshape(arr.shape)
 
     def _evolve_density(self, mat, blocks):
         for phase in self._dm_phase:
@@ -383,9 +378,8 @@ class DenseHermitian(Generator):
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._last: tuple[float | None, np.ndarray | None] = (None, None)
         # An involution has ||H||_F^2 = Tr H^2 = d: an O(d^2) test first.
-        dim = self.dim
-        near = bool(abs(np.vdot(self.mat, self.mat).real - dim) <= dim * 1e-9)
-        self._involution = near and bool(np.max(np.abs(self.mat @ self.mat - np.eye(dim))) < 1e-12)
+        near = abs(np.vdot(self.mat, self.mat).real - self.dim) <= self.dim * 1e-9
+        self._involution = bool(near and np.max(np.abs(self.mat @ self.mat - np.eye(self.dim))) < 1e-12)
 
     def materialize(self) -> np.ndarray:
         return np.array(self.mat)
@@ -427,11 +421,10 @@ class DenseHermitian(Generator):
 
 
 def _check_angle(angle: float) -> float:
-    # A float skips the numbers.Real ABC check and np.isfinite, ~1 us each.
-    if isinstance(angle, float) and math.isfinite(angle):
-        return float(angle)
-    if not isinstance(angle, numbers.Real) or not np.isfinite(angle):
-        raise ValueError(f"evolution angle must be a finite real, got {angle!r}")
+    # A finite float skips the numbers.Real ABC check and np.isfinite (~1 us each).
+    if not isinstance(angle, float) or not math.isfinite(angle):
+        if not isinstance(angle, numbers.Real) or not np.isfinite(angle):
+            raise ValueError(f"evolution angle must be a finite real, got {angle!r}")
     return float(angle)
 
 

@@ -370,6 +370,11 @@ def test_transverse_field_multi_group_matches_reference(n, mixed):
     rho = _dense(state)
     out = apply_evolution(state, gen, angle)
     np.testing.assert_allclose(_dense(out), u @ rho @ u.conj().T, rtol=0, atol=1e-12)
+    # The kernel on several columns (post > 1) or rows (pre > 1) at once.
+    cols = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+    prop = gen._propagator(angle)
+    np.testing.assert_allclose(gen._evolve(cols.copy(), prop, 1, 3), u @ cols, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gen._evolve(cols.T.copy(), prop, 3, 1), cols.T @ u.T, rtol=0, atol=1e-12)
 
 
 def test_transverse_field_density_step_holds_one_extra_matrix():
