@@ -39,11 +39,11 @@ class QaoaParams:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        gammas = tuple(float(g) for g in self.gammas)
+        betas = tuple(map(float, self.betas))
+        gammas = tuple(map(float, self.gammas))
         if len(betas) != len(gammas):
             raise ValueError("betas and gammas must have equal length")
-        if not all(np.isfinite(betas)) or not all(np.isfinite(gammas)):
+        if not all(map(math.isfinite, betas + gammas)):
             raise ValueError("QAOA parameters must be finite")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "gammas", gammas)
@@ -54,10 +54,10 @@ class QaoaParams:
 
     @classmethod
     def from_flat(cls, values) -> "QaoaParams":
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size % 2:
+        values = np.asarray(values, dtype=np.float64).reshape(-1).tolist()
+        if len(values) % 2:
             raise ValueError("flat parameter vector must have even length")
-        half = values.size // 2
+        half = len(values) // 2
         return cls(tuple(values[:half]), tuple(values[half:]))
 
     def flat(self) -> np.ndarray:

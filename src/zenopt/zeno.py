@@ -72,12 +72,12 @@ def apply_measurement(state: State, m: ops.Measurement) -> DensityMatrix:
     Promotes a pure state to a density matrix (measurements generally produce
     mixtures). Trace is preserved exactly; the result is block-diagonal with
     respect to the projector index sets, so the implementation just zeroes
-    the cross-block entries.
+    the cross-block entries, in the transverse field's frame too.
     """
     if state.dim != m.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
     rho = as_density(state)
-    np.putmask(rho.mat, m.cross_block_mask(), 0.0)
+    np.putmask(rho._arr, m.cross_block_mask(), 0.0)
     rho.note_superop()
     return rho
 

@@ -1,6 +1,7 @@
 """State and evolution primitives: closed forms against dense oracles."""
 
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -20,12 +21,13 @@ from zenopt.qcore import (
     StateVector,
     TransverseField,
     apply_evolution,
+    as_density,
     expectation,
     is_hermitian,
     is_unitary,
     max_qubits,
 )
-from zenopt.zeno import zeno_block
+from zenopt.zeno import apply_measurement, zeno_block
 
 
 def random_state(n, rng):
@@ -70,6 +72,12 @@ def test_qubit_cap_env_var(monkeypatch):
         monkeypatch.setenv("ZENO_MAX_QUBITS", bad)
         with pytest.raises(ValueError, match="ZENO_MAX_QUBITS"):
             max_qubits()
+
+
+def test_uniform_state_is_fresh_each_call():
+    first = StateVector.uniform(3)
+    apply_evolution(first, Diagonal(np.arange(8.0)), 0.4)
+    np.testing.assert_allclose(StateVector.uniform(3).amps, np.full(8, 1 / np.sqrt(8)), rtol=0, atol=1e-16)
 
 
 def test_zero_angle_is_identity():
@@ -192,6 +200,12 @@ def test_dimension_and_angle_errors():
         apply_evolution(psi, TransverseField(3), 0.1)
     with pytest.raises(ValueError):
         apply_evolution(psi, TransverseField(2), float("nan"))
+    # Any finite real is taken as its float; one beyond float range is refused.
+    ref = apply_evolution(StateVector.basis(2, 0), TransverseField(2), 1 / 3)
+    np.testing.assert_array_equal(apply_evolution(psi, TransverseField(2), Fraction(1, 3)).amps, ref.amps)
+    for bad in (10**400, Fraction(10**400, 3), "0.1", 1j):
+        with pytest.raises(ValueError):
+            apply_evolution(psi, TransverseField(2), bad)
     with pytest.raises(ValueError):
         DenseHermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
@@ -271,9 +285,9 @@ def test_transverse_field_block_memo():
     for angle in (-1.2, 0.37):
         for used, fresh in zip(gen._propagator(angle), TransverseField(7)._propagator(angle)):
             np.testing.assert_array_equal(used, fresh)
-    # Each block is the real factor R^(x)k of exp(-i a X)^(x)k = D R D.
+    # Each block is the real rotation Q^(x)k = D exp(-i a X)^(x)k D^H, D = diag(1, -i)^(x)k.
     c, s = np.cos(0.37), np.sin(0.37)
-    np.testing.assert_allclose(first[1], reduce(np.kron, [np.array([[c, s], [s, -c]])] * 3),
+    np.testing.assert_allclose(first[1], reduce(np.kron, [np.array([[c, s], [-s, c]])] * 3),
                                rtol=0, atol=1e-15)
 
 
@@ -370,7 +384,10 @@ def test_transverse_field_multi_group_matches_reference(n, mixed):
     rho = _dense(state)
     out = apply_evolution(state, gen, angle)
     np.testing.assert_allclose(_dense(out), u @ rho @ u.conj().T, rtol=0, atol=1e-12)
-    # The kernel on several columns (post > 1) or rows (pre > 1) at once.
+    # The kernel on several columns (post > 1) or rows (pre > 1) at once. It
+    # acts in the frame psi~ = D psi, D = diag(1, -i)^(x)n, as D u D^H.
+    d = reduce(np.kron, [np.array([1.0, -1j])] * n)
+    u = d[:, None] * u * d.conj()
     cols = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
     prop = gen._propagator(angle)
     np.testing.assert_allclose(gen._evolve(cols.copy(), prop, 1, 3), u @ cols, rtol=0, atol=1e-12)
@@ -378,22 +395,23 @@ def test_transverse_field_multi_group_matches_reference(n, mixed):
 
 
 def test_transverse_field_density_step_holds_one_extra_matrix():
-    # From the second qubit group on, each product is written into the
-    # buffer the group before last has finished with, so a two-group
-    # density-matrix step allocates one extra matrix, not three.
-    n = 8
-    gen = TransverseField(n)
-    state = _random_state(n, True, np.random.default_rng(8))
-    fortran = DensityMatrix(np.asfortranarray(state.mat), copy=False, validate=False)
-    tracemalloc.start()
-    try:
-        apply_evolution(state, gen, 0.37)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * state.mat.nbytes
-    # An input whose layout cannot take a product in place evolves the same.
-    np.testing.assert_allclose(apply_evolution(fortran, gen, 0.37).mat, state.mat, rtol=0, atol=1e-15)
+    # From the second qubit group on, each product, on the rows and then on
+    # the columns, is written into the buffer the product before last has
+    # finished with, so a two-group density-matrix step allocates one extra
+    # matrix, not three. n = 7 splits into groups of 4 and 3 qubits.
+    for n in (7, 8):
+        gen = TransverseField(n)
+        state = _random_state(n, True, np.random.default_rng(n))
+        fortran = DensityMatrix(np.asfortranarray(state.mat), copy=False, validate=False)
+        tracemalloc.start()
+        try:
+            apply_evolution(state, gen, 0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * state.mat.nbytes
+        # An input whose layout cannot take a product in place evolves the same.
+        np.testing.assert_allclose(apply_evolution(fortran, gen, 0.37).mat, state.mat, rtol=0, atol=1e-15)
 
 
 def _check_zeno_block(n, mixed, seed, kinds, n_measurements):
@@ -430,3 +448,63 @@ def test_zeno_block_matches_expm_and_projector_loop(case, kinds, n_measurements)
 
 def test_zeno_block_multi_group_x_mixer():
     _check_zeno_block(7, True, 7, ["diag", "x"], 3)
+
+
+def test_drift_control_runs_in_the_frame(monkeypatch):
+    # 120 measured sub-steps with the x mixer: the re-symmetrize and
+    # renormalize pass after the 100th measurement acts on the framed matrix.
+    framed, note = [], DensityMatrix.note_superop
+    monkeypatch.setattr(DensityMatrix, "note_superop", lambda rho: (framed.append(rho._framed), note(rho)))
+    _check_zeno_block(7, True, 12, ["diag", "x"], 120)
+    assert len(framed) == 120 and all(framed)
+
+
+# ---------------------------------------------------------------------------
+# Frame leaks: public amplitudes and matrices never show the x-mixer frame
+# ---------------------------------------------------------------------------
+
+FRAME_STEPS = GENERATOR_KINDS + ("measure", "copy", "to_density", "probabilities", "expectation")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "n": st.integers(min_value=1, max_value=8),
+        "mixed": st.booleans(),
+        "seed": st.integers(min_value=0, max_value=2**32 - 1),
+    }),
+    st.lists(st.sampled_from(FRAME_STEPS), min_size=1, max_size=12),
+)
+def test_frame_never_leaks(case, steps):
+    n = case["n"]
+    rng = np.random.default_rng(case["seed"])
+    gens = {kind: _random_generator(kind, n, rng) for kind in GENERATOR_KINDS}
+    m = Measurement.two_outcome(Projector(n, np.flatnonzero(rng.random(1 << n) < 0.5)))
+    projectors = [p.matrix() for p in m.projectors]
+    state = _random_state(n, case["mixed"], rng)
+    psi = None if case["mixed"] else state.amps.copy()
+    rho = _dense(state)
+    for step in steps:
+        if step in gens:
+            angle = float(rng.uniform(-3.0, 3.0))
+            u = expm(-1j * angle * gens[step].materialize())
+            state = apply_evolution(state, gens[step], angle)
+            rho = u @ rho @ u.conj().T
+            psi = None if psi is None else u @ psi
+        elif step == "measure":
+            state = apply_measurement(state, m)
+            rho = sum(p @ rho @ p for p in projectors)
+            psi = None
+        elif step == "copy":
+            state = state.copy()
+        elif step == "to_density":
+            state, psi = as_density(state), None
+        elif step == "probabilities":
+            np.testing.assert_allclose(state.probabilities(), np.diag(rho).real, rtol=0, atol=1e-12)
+        else:
+            obs = gens[GENERATOR_KINDS[rng.integers(len(GENERATOR_KINDS))]]
+            assert abs(expectation(state, obs) - np.trace(obs.materialize() @ rho).real) < 1e-12
+        # A copy keeps the frame, so reading it leaves the state's own alone.
+        public = state.copy().amps if psi is not None else _dense(state.copy())
+        np.testing.assert_allclose(public, rho if psi is None else psi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_dense(state), rho, rtol=0, atol=1e-12)
