@@ -186,6 +186,8 @@ class LvqeParams:
             raise ValueError("need at least one qubit")
         if any(len(row) != n for row in layers):
             raise ValueError("every layer needs one angle per qubit")
+        if not all(math.isfinite(v) for v in theta0 + sum(layers, ())):
+            raise ValueError("layered-circuit angles must be finite")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "layer_thetas", layers)
 

@@ -49,18 +49,13 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
+    """Comma-separated list of ``kind`` (float or int) values."""
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise CliError(f"cannot parse float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise CliError(f"cannot parse integer list {text!r}") from exc
+        name = "integer" if kind is int else "float"
+        raise CliError(f"cannot parse {name} list {text!r}") from exc
 
 
 def parse_constraint(text: str) -> problems.LinearConstraint:
@@ -69,7 +64,7 @@ def parse_constraint(text: str) -> problems.LinearConstraint:
     parts = text.split()
     if len(parts) != 3:
         raise CliError(f"constraint {text!r} must look like 'c1,c2,... SENSE rhs'")
-    coeffs = _parse_ints(parts[0])
+    coeffs = _parse_list(parts[0], int)
     if parts[1] not in ("EQ", "LEQ", "GEQ"):
         raise CliError(f"unknown constraint sense {parts[1]!r}")
     try:
@@ -111,14 +106,6 @@ def _bundle(inst: problems.PortfolioInstance) -> experiments.ProblemBundle:
         return experiments.ProblemBundle.build(inst)
     except ValueError as exc:
         raise CliError(str(exc), code=EXIT_INFEASIBLE) from exc
-
-
-_INVOCATION: list[str] = []
-
-
-def _command_line() -> str:
-    args = _INVOCATION if _INVOCATION else sys.argv[1:]
-    return "zenopt " + " ".join(shlex.quote(a) for a in args)
 
 
 def write_json(path: str, record: dict) -> None:
@@ -178,7 +165,7 @@ def _run_record(args, experiment, bundle, source, config, report, metrics, start
     return {
         "experiment": experiment,
         "toolkit_version": __version__,
-        "command": _command_line(),
+        "command": args.invocation,
         "instance": bundle.instance.to_dict(),
         "instance_source": source,
         "config": {
@@ -206,23 +193,30 @@ def _run_record(args, experiment, bundle, source, config, report, metrics, start
 # ---------------------------------------------------------------------------
 
 
-def cmd_run_qaoa(args) -> int:
+def _run_method(args, inst: problems.PortfolioInstance) -> zeno.ZenoSchedule | list[float]:
+    """The :func:`experiments.run_qaoa` method named by ``--penalty`` (one
+    factor per constraint) or ``--schedule``/``--delta`` (default eta=1.6)."""
     if args.penalty and args.schedule:
         raise CliError("--penalty (baseline) conflicts with --schedule (measured run)")
+    if not args.penalty:
+        return zeno.ZenoSchedule.parse(args.schedule or "eta=1.6", args.delta)
+    lambdas = _parse_list(args.penalty)
+    if len(lambdas) != len(inst.constraints):
+        raise CliError(
+            f"--penalty lists {len(lambdas)} factors for {len(inst.constraints)} constraints"
+        )
+    return lambdas
+
+
+def cmd_run_qaoa(args) -> int:
     inst, source = load_instance(args)
     bundle = _bundle(inst)
     started = time.perf_counter()
-    if args.penalty:
-        method = _parse_floats(args.penalty)
-        if len(method) != len(inst.constraints):
-            raise CliError(
-                f"--penalty lists {len(method)} factors for "
-                f"{len(inst.constraints)} constraints"
-            )
-        config = {"mixer": args.mixer, "penalty": method}
-    else:
-        method = zeno.ZenoSchedule.parse(args.schedule or "eta=1.6", args.delta)
+    method = _run_method(args, inst)
+    if isinstance(method, zeno.ZenoSchedule):
         config = {"mixer": args.mixer, "schedule": method.describe()}
+    else:
+        config = {"mixer": args.mixer, "penalty": method}
     report, _, metrics = experiments.run_qaoa(
         bundle, args.mixer, args.layers, method,
         restarts=args.restarts, seed=args.seed, budget=args.budget,
@@ -296,12 +290,12 @@ def cmd_sweep(args) -> int:
 
     points: list[dict] = []
     if kind == "eta":
-        for eta in _parse_floats(args.etas or ""):
+        for eta in _parse_list(args.etas or ""):
             method = zeno.ZenoSchedule.from_eta(eta)
             points.append({**common, "method": method, "row": ("eta", eta, None)})
     elif kind == "lambda":
-        grid1 = _parse_floats(args.lambdas or "")
-        grid2 = _parse_floats(args.lambdas2) if args.lambdas2 else None
+        grid1 = _parse_list(args.lambdas or "")
+        grid2 = _parse_list(args.lambdas2) if args.lambdas2 else None
         problems.check_penalty_factors(grid1 + (grid2 or []))
         expected = 2 if grid2 else 1
         if len(inst.constraints) != expected:
@@ -314,13 +308,10 @@ def cmd_sweep(args) -> int:
                 method = [l1] if l2 is None else [l1, l2]
                 points.append({**common, "method": method, "row": ("lambda", l1, l2)})
     else:
-        if bool(args.penalty) == bool(args.schedule):
+        if not (args.penalty or args.schedule):
             raise CliError("layers sweep needs exactly one of --penalty or --schedule")
-        if args.penalty:
-            method = _parse_floats(args.penalty)
-        else:
-            method = zeno.ZenoSchedule.parse(args.schedule, args.delta)
-        for p in _parse_ints(args.layers_grid or ""):
+        method = _run_method(args, inst)
+        for p in _parse_list(args.layers_grid or "", int):
             points.append({**common, "p": p, "method": method, "row": ("layers", p, None)})
     rows = experiments.run_sweep(points, jobs=args.jobs)
     write_csv(args.csv, rows, experiments.SWEEP_COLUMNS)
@@ -417,9 +408,9 @@ def cmd_compile_oracle(args) -> int:
 
 
 def cmd_scaling_table(args) -> int:
-    deltas = _parse_floats(args.deltas)
+    deltas = _parse_list(args.deltas)
     if args.betas:
-        betas = _parse_floats(args.betas)
+        betas = _parse_list(args.betas)
     else:
         betas = list(np.linspace(0.0, args.beta_max, args.beta_steps))
     rows = experiments.scaling_table(args.num_qubits, deltas, betas, p=args.layers)
@@ -525,10 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    _INVOCATION.clear()
-    _INVOCATION.extend(sys.argv[1:] if argv is None else list(argv))
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.invocation = "zenopt " + shlex.join(argv)
     try:
         qcore.max_qubits()
         return args.func(args)

@@ -78,15 +78,19 @@ def parameter_box(mixer: Generator, p: int) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 
+def _zeno_state(bundle: ProblemBundle, mixer: Generator, params: ansatz.QaoaParams, schedule):
+    return ansatz.run_qaoa_zeno(
+        bundle.cost_scaled, mixer, bundle.measurement, params, schedule, bundle.initial
+    )
+
+
 def evaluate_zeno_qaoa(
     bundle: ProblemBundle,
     mixer: Generator,
     params: ansatz.QaoaParams,
     schedule: zeno.ZenoSchedule,
 ) -> dict[str, float]:
-    rho = ansatz.run_qaoa_zeno(
-        bundle.cost_scaled, mixer, bundle.measurement, params, schedule, bundle.initial
-    )
+    rho = _zeno_state(bundle, mixer, params, schedule)
     metrics = problems.evaluate_metrics(rho, bundle.instance)
     metrics["total_measurements"] = float(sum(schedule.mixer_counts(mixer, params.betas)))
     return metrics
@@ -101,10 +105,7 @@ def zeno_objective(
 
     def objective(flat: np.ndarray) -> float:
         params = ansatz.QaoaParams.from_flat(flat)
-        rho = ansatz.run_qaoa_zeno(
-            bundle.cost_scaled, mixer, bundle.measurement, params, schedule, bundle.initial
-        )
-        return expectation(rho, cf)
+        return expectation(_zeno_state(bundle, mixer, params, schedule), cf)
 
     return objective
 
@@ -119,22 +120,10 @@ def optimize_zeno_qaoa(
     budget: int | None = None,
     jobs: int = 1,
 ) -> tuple[optimize.OptimizationReport, ansatz.QaoaParams, dict[str, float]]:
-    """Optimize a measured p-layer run; ``jobs`` must be 1 (see
-    :func:`_serial_restarts`)."""
+    """Optimize a measured p-layer run with :func:`run_qaoa`; ``jobs`` must
+    be 1 (see :func:`_serial_restarts`)."""
     _serial_restarts(jobs)
-    mixer = make_mixer(mixer_kind, bundle.instance.n)
-    restarts = default_restarts(p) if restarts is None else restarts
-    budget = default_budget(restarts) if budget is None else budget
-    report = optimize.optimize_params(
-        zeno_objective(bundle, mixer, schedule),
-        dim=2 * p,
-        box=parameter_box(mixer, p),
-        restarts=restarts,
-        seed=seed,
-        budget=budget,
-    )
-    params = ansatz.QaoaParams.from_flat(report.best_params)
-    return report, params, evaluate_zeno_qaoa(bundle, mixer, params, schedule)
+    return run_qaoa(bundle, mixer_kind, p, schedule, restarts=restarts, seed=seed, budget=budget)
 
 
 def _serial_restarts(jobs: int) -> None:
@@ -146,12 +135,17 @@ def _serial_restarts(jobs: int) -> None:
         raise ValueError(f"restarts run serially; jobs must be 1, got {jobs}")
 
 
-def default_restarts(p: int) -> int:
-    return 50 if p <= 3 else 100
-
-
-def default_budget(restarts: int) -> int:
-    return restarts * 400
+def _optimize(objective, box, p: int, restarts, seed: int, budget, lvqe: bool = False):
+    """Seeded multistart search over ``box`` for a p-layer circuit. Unless
+    given, QAOA gets 50 restarts (100 above three layers) of 400 evaluations
+    each and the layered circuit 20 restarts of 200 (p + 1)."""
+    if restarts is None:
+        restarts = 20 if lvqe else 50 if p <= 3 else 100
+    if budget is None:
+        budget = restarts * (200 * (p + 1) if lvqe else 400)
+    return optimize.optimize_params(
+        objective, dim=len(box), box=box, restarts=restarts, seed=seed, budget=budget
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +165,6 @@ def penalty_setup(
     return relax, cost, mixer, scale
 
 
-def evaluate_penalty_qaoa(
-    bundle: ProblemBundle,
-    relax: problems.PenaltyRelaxation,
-    cost: Diagonal,
-    mixer: Generator,
-    params: ansatz.QaoaParams,
-) -> dict[str, float]:
-    psi = ansatz.run_qaoa_penalty(cost, mixer, params)
-    metrics = problems.evaluate_metrics(psi, bundle.instance, relaxation=relax)
-    metrics["total_measurements"] = 0.0
-    return metrics
-
-
 def optimize_penalty_qaoa(
     bundle: ProblemBundle,
     lambdas,
@@ -194,27 +175,10 @@ def optimize_penalty_qaoa(
     budget: int | None = None,
     jobs: int = 1,
 ) -> tuple[optimize.OptimizationReport, ansatz.QaoaParams, dict[str, float]]:
-    """Optimize a p-layer penalty baseline run; ``jobs`` must be 1 (see
-    :func:`_serial_restarts`)."""
+    """Optimize a p-layer penalty baseline run with :func:`run_qaoa`;
+    ``jobs`` must be 1 (see :func:`_serial_restarts`)."""
     _serial_restarts(jobs)
-    relax, cost, mixer, _ = penalty_setup(bundle, lambdas, mixer_kind)
-    restarts = default_restarts(p) if restarts is None else restarts
-    budget = default_budget(restarts) if budget is None else budget
-
-    def objective(flat: np.ndarray) -> float:
-        psi = ansatz.run_qaoa_penalty(cost, mixer, ansatz.QaoaParams.from_flat(flat))
-        return expectation(psi, cost)
-
-    report = optimize.optimize_params(
-        objective,
-        dim=2 * p,
-        box=parameter_box(mixer, p),
-        restarts=restarts,
-        seed=seed,
-        budget=budget,
-    )
-    params = ansatz.QaoaParams.from_flat(report.best_params)
-    return report, params, evaluate_penalty_qaoa(bundle, relax, cost, mixer, params)
+    return run_qaoa(bundle, mixer_kind, p, lambdas, restarts=restarts, seed=seed, budget=budget)
 
 
 def run_qaoa(
@@ -232,20 +196,34 @@ def run_qaoa(
     :class:`zeno.ZenoSchedule`, the penalty baseline when it is a list of
     penalty factors (one per constraint). Flat ``params`` are evaluated as
     given and the report is None; otherwise the parameters are optimized."""
-    measured = isinstance(method, zeno.ZenoSchedule)
-    if params is None:
-        opts = dict(restarts=restarts, seed=seed, budget=budget)
-        if measured:
-            return optimize_zeno_qaoa(bundle, mixer_kind, p, method, **opts)
-        return optimize_penalty_qaoa(bundle, method, mixer_kind, p, **opts)
-    qaoa = ansatz.QaoaParams.from_flat(params)
-    if qaoa.p != p:
-        raise ValueError(f"{qaoa.p}-layer parameters given for a {p}-layer run")
-    if measured:
+    given = None if params is None else ansatz.QaoaParams.from_flat(params)
+    if given is not None and given.p != p:
+        raise ValueError(f"{given.p}-layer parameters given for a {p}-layer run")
+    if isinstance(method, zeno.ZenoSchedule):
         mixer = make_mixer(mixer_kind, bundle.instance.n)
-        return None, qaoa, evaluate_zeno_qaoa(bundle, mixer, qaoa, method)
-    relax, cost, mixer, _ = penalty_setup(bundle, method, mixer_kind)
-    return None, qaoa, evaluate_penalty_qaoa(bundle, relax, cost, mixer, qaoa)
+        objective = zeno_objective(bundle, mixer, method)
+
+        def evaluate(qaoa: ansatz.QaoaParams) -> dict[str, float]:
+            return evaluate_zeno_qaoa(bundle, mixer, qaoa, method)
+
+    else:
+        relax, cost, mixer, _ = penalty_setup(bundle, method, mixer_kind)
+
+        def objective(flat: np.ndarray) -> float:
+            psi = ansatz.run_qaoa_penalty(cost, mixer, ansatz.QaoaParams.from_flat(flat))
+            return expectation(psi, cost)
+
+        def evaluate(qaoa: ansatz.QaoaParams) -> dict[str, float]:
+            psi = ansatz.run_qaoa_penalty(cost, mixer, qaoa)
+            metrics = problems.evaluate_metrics(psi, bundle.instance, relaxation=relax)
+            metrics["total_measurements"] = 0.0
+            return metrics
+
+    if given is not None:
+        return None, given, evaluate(given)
+    report = _optimize(objective, parameter_box(mixer, p), p, restarts, seed, budget)
+    best = ansatz.QaoaParams.from_flat(report.best_params)
+    return report, best, evaluate(best)
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +256,9 @@ def optimize_lvqe(
     measurements; ``jobs`` must be 1 (see :func:`_serial_restarts`)."""
     _serial_restarts(jobs)
     n = bundle.instance.n
-    dim = n * (p + 1)
-    restarts = 20 if restarts is None else restarts
-    budget = restarts * 200 * (p + 1) if budget is None else budget
-    report = optimize.optimize_params(
-        lvqe_objective(bundle, p, n_measurements),
-        dim=dim,
-        box=[(-math.pi, math.pi)] * dim,
-        restarts=restarts,
-        seed=seed,
-        budget=budget,
-    )
+    box = [(-math.pi, math.pi)] * (n * (p + 1))
+    objective = lvqe_objective(bundle, p, n_measurements)
+    report = _optimize(objective, box, p, restarts, seed, budget, lvqe=True)
     params = ansatz.LvqeParams.from_flat(n, p, report.best_params)
     rho = ansatz.run_lvqe_zeno(bundle.measurement, params, n_measurements)
     metrics = problems.evaluate_metrics(rho, bundle.instance)
@@ -342,6 +312,8 @@ def run_sweep(points: list[dict], jobs: int = 1) -> list[dict]:
     grid coordinates, independent of completion order."""
     if not points:
         raise ValueError("empty sweep grid")
+    if jobs < 1:
+        raise ValueError(f"sweep jobs must be at least 1, got {jobs}")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_sweep_point, points))

@@ -83,26 +83,25 @@ def count_resources(circ: Circuit) -> ResourceCount:
 def constraint_value_poly(c: LinearConstraint, n: int, m: int) -> FixedPointPoly:
     """Value polynomial whose register encoding decides the constraint.
 
-    EQ and GEQ load a.x - rhs; LEQ loads rhs - a.x so feasibility is always
-    "value >= 0" (sign bit 0) for inequalities and "value = 0" for
-    equalities. Raises on non-integer data or a range that overflows m bits.
+    It loads the slack form g(x) of :meth:`LinearConstraint.slack_form`, so
+    feasibility is always "value >= 0" (sign bit 0) for inequalities and
+    "value = 0" for equalities. Raises on non-integer data, on m < 1, and
+    with ``OverflowError`` on a range that overflows m bits.
     """
     if not c.has_integer_coeffs():
         raise ValueError("Fourier constraint oracles need integer coefficients")
     if len(c.coeffs) > n:
         raise ValueError("constraint has more coefficients than system qubits")
-    sign = -1.0 if c.sense == Sense.LEQ else 1.0
-    terms = [(sign * a, {j}) for j, a in enumerate(c.coeffs) if a != 0.0]
-    const = -sign * c.rhs
+    a, const = c.slack_form()
+    terms = [(d, {j}) for j, d in enumerate(a) if d != 0.0]
     if const != 0.0:
         terms.append((const, set()))
-    lo = sum(min(d, 0.0) for d, s in terms if s) + sum(d for d, s in terms if not s)
-    hi = sum(max(d, 0.0) for d, s in terms if s) + sum(d for d, s in terms if not s)
-    if lo < -(1 << (m - 1)) or hi > (1 << (m - 1)) - 1:
-        raise OverflowError(
-            f"constraint values span [{lo:g}, {hi:g}], outside {m}-bit two's complement"
-        )
-    return FixedPointPoly(terms, m)
+    try:
+        return FixedPointPoly(terms, m)
+    except ValueError as exc:
+        if m < 1:
+            raise
+        raise OverflowError(f"constraint {exc}") from exc
 
 
 @dataclass(frozen=True)

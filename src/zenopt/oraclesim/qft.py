@@ -80,7 +80,7 @@ class FixedPointPoly:
         terms = tuple((int(round(d)), frozenset(int(v) for v in s)) for d, s in self.terms)
         object.__setattr__(self, "terms", terms)
         if self.precision < 1:
-            raise ValueError("precision must be at least one bit")
+            raise ValueError(f"precision must be at least one bit, got {self.precision}")
         lo, hi = self.value_bounds()
         half = 1 << (self.precision - 1)
         if lo < -half or hi >= half:

@@ -80,7 +80,6 @@ class PortfolioInstance:
     sigma: np.ndarray
     mu: np.ndarray
     constraints: tuple[LinearConstraint, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         sigma = np.array(self.sigma, dtype=np.float64)
@@ -210,9 +209,7 @@ def generate_instance(
         returns = (x @ mu)[constraints[0].satisfied(x)]
         constraints.append(LinearConstraint(tuple(mu), Sense.GEQ, float(np.median(returns))))
 
-    inst = PortfolioInstance(
-        n=n, q=cfg.q, sigma=sigma, mu=mu, constraints=tuple(constraints), seed=seed
-    )
+    inst = PortfolioInstance(n=n, q=cfg.q, sigma=sigma, mu=mu, constraints=tuple(constraints))
     if inst._feasible.is_empty():
         raise ValueError("generated instance has an empty feasible set")
     return inst

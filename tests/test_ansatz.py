@@ -289,6 +289,8 @@ def test_lvqe_measured_block_monotone_on_two_level_worst_case():
 def test_lvqe_param_shapes():
     with pytest.raises(ValueError):
         LvqeParams((0.1, 0.2), ((0.1,),))
+    with pytest.raises(ValueError, match="must be finite"):
+        LvqeParams((0.1, np.nan), ((0.2, 0.3),))
     params = LvqeParams.from_flat(3, 2, np.arange(9, dtype=float))
     assert params.n == 3 and params.p == 2
     np.testing.assert_array_equal(params.flat(), np.arange(9, dtype=float))

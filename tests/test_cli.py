@@ -173,6 +173,19 @@ NINE_VARIABLES = "1,1,1,1,1,1,1,1,1 LEQ 3"
         pytest.param(["sweep", "eta", "--generate", "4,7", "--etas", "1.6", "--restarts", "1",
                       "--budget", "2", "--csv", "OUT", "--out", "OUT"],
                      "unrecognized arguments: --out", id="sweep-out"),
+        pytest.param(["sweep", "eta", "--generate", "4,7", "--etas", "1.6", "--restarts", "1",
+                      "--budget", "2", "--csv", "OUT", "--jobs", "-3"],
+                     "sweep jobs must be at least 1, got -3", id="sweep-jobs-minus-3"),
+        pytest.param(["run-qaoa", "--generate", "4,7", "--restarts", "1", "--budget", "0"],
+                     "evaluation budget must be at least 1", id="run-qaoa-budget-0"),
+        pytest.param(["run-lvqe", "--generate", "4,7", "--restarts", "1", "--budget", "0"],
+                     "evaluation budget must be at least 1", id="run-lvqe-budget-0"),
+        pytest.param(["sweep", "layers", "--generate", "4,2", "--return-constraint",
+                      "--penalty", "1.0", "--layers-grid", "1", "--restarts", "1",
+                      "--budget", "2", "--jobs", "1", "--csv", "OUT"],
+                     "--penalty lists 1 factors for 2 constraints", id="sweep-layers-penalty-count"),
+        pytest.param(["compile-oracle", "--constraint", "1,1 LEQ 1", "--precision", "0"],
+                     "precision must be at least one bit, got 0", id="compile-oracle-precision-0"),
     ],
 )
 def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, args, message):

@@ -63,8 +63,7 @@ def test_lambda_transfer_collapses_to_baseline():
     _, params, source = experiments.optimize_penalty_qaoa(
         bundle, [0.1], "x", 1, restarts=16, seed=2, budget=6000)
     assert source["r"] >= r_uniform + 0.1
-    relax, cost, mixer, _ = experiments.penalty_setup(bundle, [20.0], "x")
-    far = experiments.evaluate_penalty_qaoa(bundle, relax, cost, mixer, params)
+    _, _, far = experiments.run_qaoa(bundle, "x", 1, [20.0], params.flat())
     assert far["r"] <= r_uniform + 0.05
 
 
