@@ -308,12 +308,13 @@ def _run_sweep_point(payload: dict) -> dict:
 
 
 def run_sweep(points: list[dict], jobs: int = 1) -> list[dict]:
-    """Execute grid points (optionally in parallel) and return rows sorted by
-    grid coordinates, independent of completion order."""
+    """Execute grid points (in parallel, on at most one process per point)
+    and return rows sorted by grid coordinates, independent of completion order."""
     if not points:
         raise ValueError("empty sweep grid")
     if jobs < 1:
         raise ValueError(f"sweep jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, len(points))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_sweep_point, points))

@@ -18,15 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .qcore import (
-    DenseHermitian,
-    Diagonal,
-    DimensionMismatchError,
-    Generator,
-    RankOneUniform,
-    TransverseField,
-    check_num_qubits,
-)
+from .qcore import DenseHermitian, DimensionMismatchError, Generator, check_num_qubits
 
 
 def bit_matrix(n: int) -> np.ndarray:
@@ -173,26 +165,3 @@ def zeno_hamiltonian(b: Generator, m: Measurement) -> DenseHermitian:
     mat[m.cross_block_mask()] = 0.0
     return DenseHermitian(mat)
 
-
-def spectral_span(b: Generator) -> tuple[float, float]:
-    """(min, max) eigenvalue of a generator.
-
-    Structured generators have known spectra: the n-qubit transverse field
-    spans [-n, n] and a rank-one projector has eigenvalues {0, 1}. Dense
-    generators fall back to an eigendecomposition.
-    """
-    if isinstance(b, TransverseField):
-        return (-float(b.n), float(b.n))
-    if isinstance(b, RankOneUniform):
-        return (0.0, 1.0)
-    if isinstance(b, Diagonal):
-        return (float(b.values.min()), float(b.values.max()))
-    if isinstance(b, DenseHermitian):
-        w, _ = b.eigensystem()
-        return (float(w[0]), float(w[-1]))
-    raise TypeError(f"unknown generator type {type(b).__name__}")
-
-
-def spectral_norm(b: Generator) -> float:
-    lo, hi = spectral_span(b)
-    return max(abs(lo), abs(hi))

@@ -24,7 +24,6 @@ from scipy import optimize as sciopt
 from . import operators as ops
 from . import zeno
 from .qcore import (
-    DenseHermitian,
     Generator,
     State,
     StateVector,
@@ -186,7 +185,8 @@ def parameter_shift_gradient(
     (1/N) * sum_k [E(+pi/4 at sub-step k) - E(-pi/4 at sub-step k)]: the
     quarter-period extra rotation realizes the commutator insertion exactly
     for involutory generators, so this matches finite differences to solver
-    precision at a cost of 2N expectation evaluations.
+    precision at a cost of 2N expectation evaluations. A block whose
+    generator does not square to the identity (to 1e-12) is refused.
     """
     params = np.asarray(params, dtype=np.float64)
     total = 0.0
@@ -195,7 +195,8 @@ def parameter_shift_gradient(
         if p_idx != index:
             continue
         touched = True
-        if not (isinstance(gen, DenseHermitian) and gen.is_involution):
+        mat = gen.materialize()
+        if not np.max(np.abs(mat @ mat - np.eye(gen.dim))) < 1e-12:
             raise ValueError(
                 "parameter-shift needs a unitary-Hermitian generator; "
                 "use finite differences for this block"

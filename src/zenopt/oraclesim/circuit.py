@@ -203,10 +203,12 @@ class Circuit:
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if len(lines) < 2 or not lines[0].startswith("QUBITS") or not lines[1].startswith("CLBITS"):
-            raise ValueError("circuit text must start with QUBITS and CLBITS headers")
-        circ = cls(int(lines[0].split()[1]), int(lines[1].split()[1]))
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+        match [ln.split() for ln in lines[:2]]:
+            case [["QUBITS", nq], ["CLBITS", nc]] if nq.isdecimal() and nc.isdecimal():
+                circ = cls(int(nq), int(nc))
+            case _:
+                raise ValueError("circuit text must start with QUBITS and CLBITS headers")
         for line in lines[2:]:
             circ.append(_op_from_line(line))
         return circ

@@ -43,6 +43,9 @@ class LinearConstraint:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "sense", Sense(self.sense))
+        for name, value in (("coeffs", self.coeffs), ("rhs", self.rhs)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"constraint {name} must be finite, got {value}")
         if not any(c != 0.0 for c in self.coeffs):
             raise ValueError("constraint coefficients are all zero")
 
@@ -90,6 +93,9 @@ class PortfolioInstance:
             raise ValueError("sigma must be n x n")
         if mu.shape != (self.n,):
             raise ValueError("mu must have length n")
+        for name, value in (("q", self.q), ("sigma", sigma), ("mu", mu)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.max(np.abs(sigma - sigma.T)) > 1e-12:
             raise ValueError("sigma is not symmetric")
         if np.linalg.eigvalsh(sigma)[0] < -1e-9:

@@ -6,20 +6,23 @@ variable ``x_{j+1}``. Pure states are kept as :class:`StateVector` for speed
 and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
 
-Each generator kind has one evolution kernel, which applies exp(-i*a*G)
-along one axis of a state array, and a density step, by default the kernel
-along the rows and then the columns with the conjugate propagator;
-:func:`apply_evolution` alone tells pure from mixed. No structured
-generator is materialized for evolution: a diagonal acts by phases, the
-rank-one projector by a sum, and the transverse field by real Kronecker
-blocks kept for the last angle, in the frame psi~ = D psi (rho~ = D rho D^H),
-D = diag(1, -i)^(x)n, that it moves a state into. Diagonals, measurements,
-drift control and probabilities commute with D and use the stored array as
-is; a rank-one or dense step leaves the frame, and so does reading
-``StateVector.amps`` or ``DensityMatrix.mat``. A dense generator is
-exponentiated through its eigendecomposition, exact for Hermitian input and
-reusable across angles. Only :func:`expectation` of a non-diagonal
-observable, which no evolution loop needs, materializes the generator.
+Each generator kind is one class that holds its facts: its spectral span
+``span()``, the frame ``frame`` its kernels act in, a propagator
+exp(-i*a*G) in a compact form, of which :meth:`Generator.propagator` keeps
+the last angle's, one evolution kernel, which applies it along one axis of
+a state array, and a density step, by default the kernel along the rows and
+then the columns with the conjugate propagator; :func:`apply_evolution`
+alone tells pure from mixed. No structured generator is materialized for
+evolution: a diagonal acts by phases, the rank-one projector by a sum, and
+the transverse field by real Kronecker blocks, in the frame psi~ = D psi
+(rho~ = D rho D^H), D = diag(1, -i)^(x)n, that it moves a state into.
+Diagonals, measurements, drift control and probabilities commute with D
+and use the stored array as is; a rank-one or dense step leaves the frame,
+and so does reading ``StateVector.amps`` or ``DensityMatrix.mat``. A dense
+generator is exponentiated through its eigendecomposition, exact for
+Hermitian input and reusable across angles. Only :func:`expectation` of a
+non-diagonal observable, which no evolution loop needs, materializes the
+generator.
 """
 
 from __future__ import annotations
@@ -250,14 +253,23 @@ def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1, out=None
 class Generator:
     """Hermitian generator of a one-parameter unitary family exp(-i*a*G).
 
-    ``_propagator(angle)`` gives exp(-i*angle*G) in a compact form,
+    ``propagator(angle)`` gives exp(-i*angle*G), read-only, in the compact
+    form a subclass's ``_make(angle)`` builds; the last (angle, propagator)
+    pair is kept, so a measured block that repeats an angle builds it once.
     ``_evolve(arr, prop, pre, post)`` applies it along the middle axis of
     ``arr`` viewed as ``(pre, 2^n, post)`` (maybe in place), and
     ``_evolve_density(mat, prop)`` conjugates a density matrix: by default
     the rows, then the columns by ``np.conj(prop)``, the conjugate's form.
+    ``frame`` is the frame the kernels act in (True: D, False: the
+    computational basis, None: either); ``span()`` is the (min, max) eigenvalue.
     """
 
-    n: int
+    __slots__ = ("n", "_memo")
+    frame: bool | None = False
+
+    def __init__(self, n: int):
+        self.n = check_num_qubits(n)
+        self._memo = (None, None)
 
     @property
     def dim(self) -> int:
@@ -266,8 +278,13 @@ class Generator:
     def materialize(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _propagator(self, angle: float):
-        raise TypeError(f"unknown generator type {type(self).__name__}")
+    def propagator(self, angle: float):
+        if self._memo[0] != angle:
+            made = self._make(angle)
+            for part in made if isinstance(made, tuple) else (made,):
+                np.asarray(part).setflags(write=False)  # a scalar is immutable already
+            self._memo = (angle, made)
+        return self._memo[1]
 
     def _evolve_density(self, mat, prop):
         mat = self._evolve(mat, prop, 1, self.dim)
@@ -277,17 +294,21 @@ class Generator:
 class Diagonal(Generator):
     """Cost-style operator, diagonal in the computational basis."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("values",)
+    frame = None
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        self.n = check_num_qubits(num_qubits_for_dim(values.size))
+        super().__init__(num_qubits_for_dim(values.size))
         self.values = values
 
     def materialize(self) -> np.ndarray:
         return np.diag(self.values.astype(np.complex128))
 
-    def _propagator(self, angle: float) -> np.ndarray:
+    def span(self) -> tuple[float, float]:
+        return (float(self.values.min()), float(self.values.max()))
+
+    def _make(self, angle: float) -> np.ndarray:
         return np.exp(-1j * angle * self.values)
 
     def _evolve(self, arr, phases, pre, post):
@@ -302,13 +323,14 @@ class TransverseField(Generator):
     exp(-i*a*X)^(x)n = D R D with D = diag(1, -i)^(x)n, R = [[c, s], [s, -c]]^(x)n.
     The kernels act in the frame D: psi~ -> Q psi~, rho~ -> Q rho~ Q^T with the
     real Q = D^2 R = [[c, s], [-s, c]]^(x)n, applied as Kronecker blocks of at
-    most ``_BLOCK_QUBITS`` qubits and kept read-only for the last angle.
+    most ``_BLOCK_QUBITS`` qubits.
     """
 
-    __slots__ = ("n", "_groups", "_index", "_last")
+    __slots__ = ("_groups", "_index")
+    frame = True
 
     def __init__(self, n: int):
-        self.n = check_num_qubits(n)
+        super().__init__(n)
         n_groups = -(-self.n // _BLOCK_QUBITS)
         sizes = [len(g) for g in np.array_split(np.arange(self.n), n_groups)]
         self._groups = tuple(zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
@@ -318,7 +340,6 @@ class TransverseField(Generator):
             a = np.arange(1 << k)
             ones = ((a[:, None] >> np.arange(k)) & 1).sum(1)
             self._index[k] = ones[a[:, None] ^ a] + (k + 1) * (ones[a[:, None] & ~a] & 1)
-        self._last: tuple[float | None, tuple] = (None, ())
 
     def materialize(self) -> np.ndarray:
         dim = self.dim
@@ -328,16 +349,16 @@ class TransverseField(Generator):
             mat[idx ^ (1 << k), idx] += 1.0
         return mat
 
-    def _propagator(self, angle: float) -> tuple:
-        if self._last[0] != angle:
-            c, s = math.cos(angle), math.sin(angle)
-            made = {}
-            for k in self._index:
-                v = [c ** (k - w) * s ** w for w in range(k + 1)]
-                made[k] = np.array(v + [-x for x in v])[self._index[k]]
-                made[k].setflags(write=False)
-            self._last = (angle, tuple(made[k] for _, k in self._groups))
-        return self._last[1]
+    def span(self) -> tuple[float, float]:
+        return (-float(self.n), float(self.n))
+
+    def _make(self, angle: float) -> tuple:
+        c, s = math.cos(angle), math.sin(angle)
+        made = {}
+        for k in self._index:
+            v = [c ** (k - w) * s ** w for w in range(k + 1)]
+            made[k] = np.array(v + [-x for x in v])[self._index[k]]
+        return tuple(made[k] for _, k in self._groups)
 
     def _rows(self, arr, blocks, post, spare=None):
         # Q on (-1, 2^n, post). Products alternate arr and spare: one extra array.
@@ -368,16 +389,16 @@ class TransverseField(Generator):
 class RankOneUniform(Generator):
     """Rank-one projector onto the uniform superposition (complete-graph mixer)."""
 
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = check_num_qubits(n)
+    __slots__ = ()
 
     def materialize(self) -> np.ndarray:
         dim = self.dim
         return np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
 
-    def _propagator(self, angle: float) -> complex:
+    def span(self) -> tuple[float, float]:
+        return (0.0, 1.0)
+
+    def _make(self, angle: float) -> complex:
         """c in exp(-i*angle*P) = I + c*P, since P is a projector."""
         return np.exp(-1j * angle) - 1.0
 
@@ -388,55 +409,30 @@ class RankOneUniform(Generator):
 
 
 class DenseHermitian(Generator):
-    """Arbitrary Hermitian generator, exponentiated via eigendecomposition.
+    """Arbitrary Hermitian generator, exponentiated via its eigendecomposition,
+    computed once at construction for every angle."""
 
-    If the matrix squares to the identity (Pauli strings), the propagator
-    collapses to the closed form cos(a)*I - i*sin(a)*H and the
-    eigendecomposition is skipped. The last (angle, propagator) pair is kept,
-    read-only, so a measured block that repeats an angle builds it once.
-    """
-
-    __slots__ = ("n", "mat", "_eig", "_involution", "_last")
+    __slots__ = ("mat", "_eig")
 
     def __init__(self, mat: np.ndarray):
         mat = np.array(mat, dtype=np.complex128)
         if not is_hermitian(mat, _HERM_TOL):
             raise ValueError("generator matrix is not Hermitian")
-        self.n = check_num_qubits(num_qubits_for_dim(mat.shape[0]))
+        super().__init__(num_qubits_for_dim(mat.shape[0]))
         self.mat = (mat + mat.conj().T) / 2.0
         self.mat.setflags(write=False)
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
-        self._last: tuple[float | None, np.ndarray | None] = (None, None)
-        # An involution has ||H||_F^2 = Tr H^2 = d: an O(d^2) test first.
-        near = abs(np.vdot(self.mat, self.mat).real - self.dim) <= self.dim * 1e-9
-        self._involution = bool(near and np.max(np.abs(self.mat @ self.mat - np.eye(self.dim))) < 1e-12)
+        self._eig = np.linalg.eigh(self.mat)
 
     def materialize(self) -> np.ndarray:
         return np.array(self.mat)
 
-    @property
-    def is_involution(self) -> bool:
-        return self._involution
+    def span(self) -> tuple[float, float]:
+        w = self._eig[0]
+        return (float(w[0]), float(w[-1]))
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.mat)
-            self._eig = (w, v)
-        return self._eig
-
-    def propagator(self, angle: float) -> np.ndarray:
-        if self._last[0] == angle:
-            return self._last[1]
-        if self._involution:
-            u = np.cos(angle) * np.eye(self.dim) - 1j * np.sin(angle) * self.mat
-        else:
-            w, v = self.eigensystem()
-            u = (v * np.exp(-1j * angle * w)) @ v.conj().T
-        u.setflags(write=False)
-        self._last = (angle, u)
-        return u
-
-    _propagator = propagator
+    def _make(self, angle: float) -> np.ndarray:
+        w, v = self._eig
+        return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
     def _evolve(self, arr, u, pre, post):
         # Every state layout has pre == 1 or post == 1: one matrix product.
@@ -471,10 +467,9 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
     """
     angle = _check_angle(angle)
     _check_dims(state, g)
-    prop = g._propagator(angle)
-    framed = isinstance(g, TransverseField)
-    if state._framed is not framed and not isinstance(g, Diagonal):
-        state._set_frame(framed)
+    prop = g.propagator(angle)
+    if g.frame is not None:
+        state._set_frame(g.frame)
     if isinstance(state, StateVector):
         state._arr = g._evolve(state._arr, prop, 1, 1)
     else:

@@ -117,8 +117,9 @@ def zeno_limit_propagator(
         if g.dim != m.dim:
             raise DimensionMismatchError("generator and measurement dims differ")
         total += angle * g.materialize()
+    total[m.cross_block_mask()] = 0.0  # as ops.zeno_hamiltonian, with one eigh
     rho = apply_measurement(state, m)
-    return apply_evolution(rho, ops.zeno_hamiltonian(DenseHermitian(total), m), 1.0)
+    return apply_evolution(rho, DenseHermitian(total), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +291,19 @@ class ZenoSchedule:
             return list(self.counts)
         if self.rule == "eta":
             return [schedule_eta(b, self.eta) for b in betas]
-        if self.rule == "theorem1":
-            lo, hi = ops.spectral_span(mixer)
-            return [schedule_theorem1(b, lo, hi, self.delta) for b in betas]
         if self.rule == "cor1":
-            norm = ops.spectral_norm(mixer)
+            norm = max(map(abs, mixer.span()))
             return schedule_cor1(
                 [abs(b) for b in betas], [norm] * p, p, self.delta, commuting=True
             )
-        # cor3, with the generic rule as fallback for unsupported mixers
-        try:
-            return [schedule_cor3(mixer, b, p, self.delta) for b in betas]
-        except UnsupportedMixerError:
-            lo, hi = ops.spectral_span(mixer)
-            return [schedule_theorem1(b, lo, hi, self.delta) for b in betas]
+        if self.rule == "cor3":
+            try:
+                return [schedule_cor3(mixer, b, p, self.delta) for b in betas]
+            except UnsupportedMixerError:
+                pass
+        # theorem1, which is also cor3's fallback for unsupported mixers
+        lo, hi = mixer.span()
+        return [schedule_theorem1(b, lo, hi, self.delta) for b in betas]
 
     @classmethod
     def parse(cls, text: str, delta: float | None = None) -> "ZenoSchedule":

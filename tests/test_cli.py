@@ -222,6 +222,31 @@ def test_non_finite_input_exits_2(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("q", "NaN"), ("mu", "[Infinity, 0, 0, 0]"), ("rhs", "NaN")],
+)
+def test_non_finite_instance_exits_2(tmp_path, capsys, field, value):
+    """An instance file with a NaN or infinite field is refused on loading."""
+    data = problems.generate_instance(4, 7).to_dict()
+    (data["constraints"][0] if field == "rhs" else data)[field] = json.loads(value)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("run-qaoa", "--instance", str(path), "--restarts", "1", "--budget", "4") == 2
+    err = capsys.readouterr().err
+    assert "cannot load instance" in err and f"{field} must be finite" in err
+
+
+def test_malformed_circuit_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bare.txt"
+    path.write_text("QUBITS\nCLBITS 1\n")
+    assert run_cli(
+        "compile-oracle", "--constraint", "1,1 LEQ 1", "--precision", "3",
+        "--check-file", str(path),
+    ) == 2
+    assert "cannot load circuit" in capsys.readouterr().err
+
+
 def test_penalty_run_emits_r_penalty(tmp_path):
     out = tmp_path / "pen.json"
     assert run_cli(

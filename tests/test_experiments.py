@@ -110,6 +110,31 @@ def test_sweep_worker_and_sorting():
         experiments.run_sweep([], jobs=1)
 
 
+@pytest.mark.parametrize("n_points, jobs, workers", [(1, 4, None), (3, 8, 3), (3, 2, 2)])
+def test_sweep_pool_has_at_most_one_worker_per_point(monkeypatch, n_points, jobs, workers):
+    # A one-point grid runs serially; otherwise the pool never outnumbers the points.
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_run_sweep_point",
+                        lambda pt: {"sweep_var": "eta", "value1": pt, "value2": None})
+    rows = experiments.run_sweep(list(range(n_points)), jobs=jobs)
+    assert [r["value1"] for r in rows] == list(range(n_points))
+    assert opened == ([] if workers is None else [workers])
+
+
 def test_scaling_table_rows():
     rows = experiments.scaling_table(3, [0.19], [0.0, np.pi / 2], p=1)
     by_key = {(r["mixer"], r["beta"]): r["n_measurements"] for r in rows}

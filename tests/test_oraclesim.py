@@ -98,6 +98,14 @@ def test_text_format_rejects_garbage():
         Circuit.from_text("QUBITS 2\nCLBITS 0\nWOBBLE 1\n")
     with pytest.raises(ValueError):
         Circuit.from_text("QUBITS 2\nCLBITS 0\nMEASURE 0 => c0\n")
+    # Malformed headers are refused with the header message, not an IndexError.
+    for text in ("QUBITS\nCLBITS 1\n", "QUBITS 2\n", "QUBITS 2\nCLBITS\n",
+                 "QUBITS two\nCLBITS 0\n", "CLBITS 0\nQUBITS 2\n", ""):
+        with pytest.raises(ValueError, match="QUBITS and CLBITS headers"):
+            Circuit.from_text(text)
+    # Comment lines are dropped after stripping, indented ones too.
+    circ = Circuit.from_text("  # note\nQUBITS 2\n\t# more\nCLBITS 0\n  # x\nH 1\n")
+    assert (circ.num_qubits, circ.num_clbits, circ.to_text()) == (2, 0, "QUBITS 2\nCLBITS 0\nH 1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,25 @@ def test_constraint_validation():
         )
 
 
+NON_FINITE = {
+    "q-nan": ("q", math.nan), "q-inf": ("q", math.inf),
+    "sigma-nan": ("sigma", np.array([[1.0, math.nan], [math.nan, 1.0]])),
+    "mu-inf": ("mu", np.array([math.inf, 0.0])),
+    "coeffs-nan": ("coeffs", (1.0, math.nan)), "rhs-nan": ("rhs", math.nan),
+    "rhs-inf": ("rhs", -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_field_is_refused_by_name(case):
+    name, value = NON_FINITE[case]
+    con = {"coeffs": (1.0, 1.0), "sense": Sense.LEQ, "rhs": 1.0}
+    inst = {"n": 2, "q": 0.5, "sigma": np.eye(2), "mu": np.zeros(2)}
+    (con if name in con else inst)[name] = value
+    with pytest.raises(ValueError, match=f"^(constraint )?{name} must be finite"):
+        PortfolioInstance(**inst, constraints=(LinearConstraint(**con),))
+
+
 def test_instance_json_round_trip():
     inst = generate_instance(5, 9, InstanceConfig(return_constraint=True))
     text = inst.to_json()

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from zenopt.ansatz import LvqeParams, lvqe_generators
 from zenopt.operators import Measurement, Projector
 from zenopt.qcore import (
     DenseHermitian,
@@ -210,42 +209,14 @@ def test_dimension_and_angle_errors():
         DenseHermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_involution_uses_closed_form():
+def test_involution_propagator_matches_closed_form():
+    # An involution takes the eigendecomposition like any dense generator;
+    # its propagator is cos(a)*I - i*sin(a)*H.
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     gen = DenseHermitian(np.kron(x, x))
-    assert gen.is_involution
     angle = 0.91
     expected = np.cos(angle) * np.eye(4) - 1j * np.sin(angle) * np.kron(x, x)
     np.testing.assert_allclose(gen.propagator(angle), expected, atol=1e-14)
-
-
-PAULIS = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
-          np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0])]
-
-
-def _squares_to_identity(h):
-    # Reference: the O(d^3) squaring test alone, with no Frobenius-norm
-    # pre-test in front of it.
-    h = (h + h.conj().T) / 2.0
-    return bool(np.max(np.abs(h @ h - np.eye(len(h)))) < 1e-12)
-
-
-def test_involution_pretest_keeps_squaring_answer():
-    rng = np.random.default_rng(31)
-    cases = [reduce(np.kron, [PAULIS[i] for i in rng.integers(0, 4, size=n)])
-             for n in (1, 2, 3, 4) for _ in range(6)]
-    cases += [_random_hermitian(n, rng) for n in (1, 2, 3)]
-    # Tr H^2 = d but H^2 != I: the pre-test passes, the squaring refuses.
-    cases.append(np.diag([np.sqrt(2.0), 0.0]))
-    for n, p in ((1, 0), (2, 1), (3, 2)):
-        params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
-        cases += [g.materialize() for g, _ in lvqe_generators(params)]
-    # theta = 2 on one qubit folds to the involution Y.
-    cases += [g.materialize() for g, _ in lvqe_generators(LvqeParams((2.0,), ()))]
-    answers = [DenseHermitian(h).is_involution for h in cases]
-    assert answers == [_squares_to_identity(h) for h in cases]
-    assert all(type(a) is bool for a in answers)
-    assert answers[0] and not answers[-2] and answers[-1]
 
 
 def _memo_matrix(involution):
@@ -255,40 +226,15 @@ def _memo_matrix(involution):
     return _random_hermitian(2, np.random.default_rng(11))
 
 
-@pytest.mark.parametrize("involution", [True, False], ids=["involution", "eigh"])
-def test_dense_propagator_memo(involution):
-    mat = _memo_matrix(involution)
-    gen = DenseHermitian(mat)
-    assert gen.is_involution is involution
-    first = gen.propagator(0.37)
-    assert not first.flags.writeable
-    assert gen.propagator(0.37) is first
-    with pytest.raises(ValueError):
-        first[0, 0] = 0.0
-    second = gen.propagator(-1.2)
-    assert second is not first and not second.flags.writeable
-    np.testing.assert_array_equal(second, DenseHermitian(mat).propagator(-1.2))
-    np.testing.assert_array_equal(gen.propagator(0.37), DenseHermitian(mat).propagator(0.37))
-
-
-def test_transverse_field_block_memo():
-    # n = 7 splits into a 4-qubit and a 3-qubit group: two distinct blocks.
-    gen = TransverseField(7)
-    first = gen._propagator(0.37)
-    assert [b.shape for b in first] == [(16, 16), (8, 8)]
-    assert not any(b.flags.writeable for b in first)
-    assert gen._propagator(0.37) is first
-    with pytest.raises(ValueError):
-        first[0][0, 0] = 0.0
-    second = gen._propagator(-1.2)
-    assert second is not first and not any(b.flags.writeable for b in second)
-    for angle in (-1.2, 0.37):
-        for used, fresh in zip(gen._propagator(angle), TransverseField(7)._propagator(angle)):
-            np.testing.assert_array_equal(used, fresh)
-    # Each block is the real rotation Q^(x)k = D exp(-i a X)^(x)k D^H, D = diag(1, -i)^(x)k.
+def test_transverse_field_blocks_are_real_rotations():
+    # n = 7 splits into a 4-qubit and a 3-qubit group. Each block is the real
+    # rotation Q^(x)k = D exp(-i a X)^(x)k D^H, D = diag(1, -i)^(x)k.
+    blocks = TransverseField(7).propagator(0.37)
+    assert [b.shape for b in blocks] == [(16, 16), (8, 8)]
     c, s = np.cos(0.37), np.sin(0.37)
-    np.testing.assert_allclose(first[1], reduce(np.kron, [np.array([[c, s], [-s, c]])] * 3),
-                               rtol=0, atol=1e-15)
+    for block, k in zip(blocks, (4, 3)):
+        np.testing.assert_allclose(block, reduce(np.kron, [np.array([[c, s], [-s, c]])] * k),
+                                   rtol=0, atol=1e-15)
 
 
 ZENO_MEMO_GENERATORS = {
@@ -328,6 +274,34 @@ def _random_generator(kind, n, rng):
         return RankOneUniform(n)
     h = _random_hermitian(n, rng)
     return DenseHermitian(h / np.linalg.norm(h, 2))
+
+
+def _parts(prop):
+    # A propagator is an array, a tuple of blocks (x mixer) or a scalar (cg).
+    return prop if isinstance(prop, tuple) else (prop,)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_propagator_memo(kind):
+    # n = 7 gives the x mixer two distinct blocks (4 and 3 qubits).
+    def make():
+        return _random_generator(kind, 7, np.random.default_rng(11))
+
+    gen = make()
+    first = gen.propagator(0.37)
+    assert gen.propagator(0.37) is first
+    second = gen.propagator(-1.2)
+    assert second is not first
+    for part in _parts(first) + _parts(second):
+        if isinstance(part, np.ndarray):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part.flat[0] = 0.0
+    for angle in (-1.2, 0.37):
+        used, fresh = _parts(gen.propagator(angle)), _parts(make().propagator(angle))
+        assert len(used) == len(fresh)
+        for a, b in zip(used, fresh):
+            np.testing.assert_array_equal(a, b)
 
 
 def _random_state(n, mixed, rng):
@@ -389,7 +363,7 @@ def test_transverse_field_multi_group_matches_reference(n, mixed):
     d = reduce(np.kron, [np.array([1.0, -1j])] * n)
     u = d[:, None] * u * d.conj()
     cols = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
-    prop = gen._propagator(angle)
+    prop = gen.propagator(angle)
     np.testing.assert_allclose(gen._evolve(cols.copy(), prop, 1, 3), u @ cols, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gen._evolve(cols.T.copy(), prop, 3, 1), cols.T @ u.T, rtol=0, atol=1e-12)
 
