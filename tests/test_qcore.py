@@ -226,6 +226,24 @@ def _memo_matrix(involution):
     return _random_hermitian(2, np.random.default_rng(11))
 
 
+@pytest.mark.parametrize("involution", [True, False], ids=["involution", "eigh"])
+def test_dense_propagator_memo(involution):
+    # An involution and a general Hermitian matrix share one memo: the same
+    # read-only array per angle, equal to a fresh generator's.
+    mat = _memo_matrix(involution)
+    assert np.allclose(mat @ mat, np.eye(len(mat))) is involution
+    gen = DenseHermitian(mat)
+    first = gen.propagator(0.37)
+    assert not first.flags.writeable
+    assert gen.propagator(0.37) is first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    second = gen.propagator(-1.2)
+    assert second is not first and not second.flags.writeable
+    np.testing.assert_array_equal(second, DenseHermitian(mat).propagator(-1.2))
+    np.testing.assert_array_equal(gen.propagator(0.37), DenseHermitian(mat).propagator(0.37))
+
+
 def test_transverse_field_blocks_are_real_rotations():
     # n = 7 splits into a 4-qubit and a 3-qubit group. Each block is the real
     # rotation Q^(x)k = D exp(-i a X)^(x)k D^H, D = diag(1, -i)^(x)k.
