@@ -329,6 +329,7 @@ def verify_oracle_circuit(
 ) -> None:
     """Exhaustive gate-level validation; raises CliError(code=4) on the first
     mismatch, naming the offending input."""
+    sim_mod.check_branch_cap(circuit)
     n = oracle.n_system
     # One run over every system basis state: column x of each readout's
     # probabilities is input x's.

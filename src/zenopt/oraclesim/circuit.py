@@ -259,6 +259,14 @@ def _op_to_line(op: Op) -> str:
 
 
 def _op_from_line(line: str) -> Op:
+    op = _parse_line(line)
+    # Extra tokens would otherwise be dropped, reading the line as another op.
+    if len(line.split()) != len(_op_to_line(op).split()):
+        raise ValueError(f"malformed circuit line: {line!r}")
+    return op
+
+
+def _parse_line(line: str) -> Op:
     parts = line.split()
     kind = parts[0]
     try:
@@ -282,7 +290,7 @@ def _op_from_line(line: str) -> Op:
         if kind == "CCOND":
             if not parts[1].startswith("c"):
                 raise ValueError
-            return Conditional(int(parts[1][1:]), _op_from_line(" ".join(parts[2:])))
+            return Conditional(int(parts[1][1:]), _parse_line(" ".join(parts[2:])))
         if kind == "BARRIER":
             return Barrier()
     except (IndexError, ValueError) as exc:

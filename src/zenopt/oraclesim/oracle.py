@@ -9,14 +9,16 @@ with classically conditioned phases before measuring.
 
 An inequality is normalized to g(x) >= 0 (a LEQ constraint is negated), its
 value is loaded, only the sign bit is measured (0 = in constraint), and the
-inverse of the oracle uncomputes the register. Which readout means success
-is recorded on the returned object rather than hard-coded, since it depends
-on the chosen encoding.
+inverse of the oracle uncomputes the register.
+
+:func:`constraint_measurement_circuit` is the one constructor for all three
+kinds ("equality", "equality-qcl", "inequality"). Which readout means
+success depends on the encoding, so the returned oracle derives its
+``success_readout`` from its ``kind`` rather than callers hard-coding it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import Counter
 from functools import cached_property
@@ -25,8 +27,8 @@ import numpy as np
 
 from .. import operators as ops
 from ..problems import LinearConstraint, Sense
-from .circuit import Circuit, Conditional, CPhase, Measure, Phase, Reset, inverted
-from .qft import FixedPointPoly, bank_ops_for_bit, fourier_load_polynomial
+from .circuit import Circuit, Conditional, CPhase, Measure, Reset, inverted
+from .qft import FixedPointPoly, bank_ops_for_bit, fourier_load_polynomial, readout_round
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,13 @@ def constraint_value_poly(c: LinearConstraint, n: int, m: int) -> FixedPointPoly
         raise OverflowError(f"constraint {exc}") from exc
 
 
+_SUCCESS_READOUT = {
+    "equality": "all classical bits read 0",
+    "equality-qcl": "all classical bits read 0",
+    "inequality": "classical bit c0 reads 0 (non-negative value)",
+}
+
+
 @dataclass(frozen=True)
 class ConstraintOracle:
     """A measurement circuit plus the book-keeping needed to validate it."""
@@ -112,9 +121,11 @@ class ConstraintOracle:
     constraint: LinearConstraint
     poly: FixedPointPoly
     n_system: int
-    aux_qubits: tuple[int, ...]
     kind: str  # "equality" | "equality-qcl" | "inequality"
-    success_readout: str
+
+    @property
+    def success_readout(self) -> str:
+        return _SUCCESS_READOUT[self.kind]
 
     @property
     def precision(self) -> int:
@@ -172,76 +183,35 @@ def constraint_measurement_circuit(
     polynomial over the whole cube; :func:`constraint_value_poly` checks.
     """
     poly = constraint_value_poly(c, n, m)
-    if c.sense == Sense.EQ:
-        return _equality_oracle(c, poly, n, qcl)
-    if qcl:
+    if qcl and c.sense != Sense.EQ:
         raise ValueError("quantum conditional logic applies to equality constraints only")
-    return _inequality_oracle(c, poly, n)
-
-
-def _equality_oracle(
-    c: LinearConstraint, poly: FixedPointPoly, n: int, qcl: bool
-) -> ConstraintOracle:
-    m = poly.precision
     if qcl:
+        kind = "equality-qcl"
         circ = Circuit(n + 1, num_clbits=m)
-        aux = n
-        circ.h(aux)
+        circ.h(n)
         for t in range(m):
             # Round t reads value bit t: load the phases of register bit
             # m-1-t straight onto the readout qubit, correct for the bits
             # already measured, then measure and re-prepare |+>.
-            circ.extend(bank_ops_for_bit(poly, m - 1 - t, aux))
-            for s in range(t):
-                circ.conditional(s, Phase(aux, math.pi / (1 << (t - s))))
-            circ.h(aux)
-            circ.measure(aux, t)
-            circ.reset(aux)
-            circ.h(aux)
-        return ConstraintOracle(
-            circuit=circ,
-            constraint=c,
-            poly=poly,
-            n_system=n,
-            aux_qubits=(aux,),
-            kind="equality-qcl",
-            success_readout="all classical bits read 0",
-        )
-
-    circ = Circuit(n + m, num_clbits=m)
-    loader = fourier_load_polynomial(poly, n)
-    circ.extend(loader.ops)
-    circ.barrier()
-    for k in range(m):
-        circ.measure(n + k, k)
-    for k in range(m):
-        circ.reset(n + k)
-    return ConstraintOracle(
-        circuit=circ,
-        constraint=c,
-        poly=poly,
-        n_system=n,
-        aux_qubits=tuple(range(n, n + m)),
-        kind="equality",
-        success_readout="all classical bits read 0",
-    )
-
-
-def _inequality_oracle(c: LinearConstraint, poly: FixedPointPoly, n: int) -> ConstraintOracle:
-    m = poly.precision
-    circ = Circuit(n + m, num_clbits=1)
-    loader = fourier_load_polynomial(poly, n)
-    circ.extend(loader.ops)
-    circ.barrier()
-    circ.measure(n + m - 1, 0)  # sign bit
-    circ.barrier()
-    circ.extend(inverted(loader.ops))
-    return ConstraintOracle(
-        circuit=circ,
-        constraint=c,
-        poly=poly,
-        n_system=n,
-        aux_qubits=tuple(range(n, n + m)),
-        kind="inequality",
-        success_readout="classical bit c0 reads 0 (non-negative value)",
-    )
+            circ.extend(bank_ops_for_bit(poly, m - 1 - t, n))
+            readout_round(circ, n, t)
+            circ.h(n)
+    elif c.sense == Sense.EQ:
+        kind = "equality"
+        circ = Circuit(n + m, num_clbits=m)
+        circ.extend(fourier_load_polynomial(poly, n).ops)
+        circ.barrier()
+        for k in range(m):
+            circ.measure(n + k, k)
+        for k in range(m):
+            circ.reset(n + k)
+    else:
+        kind = "inequality"
+        loader = fourier_load_polynomial(poly, n).ops
+        circ = Circuit(n + m, num_clbits=1)
+        circ.extend(loader)
+        circ.barrier()
+        circ.measure(n + m - 1, 0)  # sign bit
+        circ.barrier()
+        circ.extend(inverted(loader))
+    return ConstraintOracle(circ, c, poly, n, kind)

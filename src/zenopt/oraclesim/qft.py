@@ -6,13 +6,18 @@ bit-reversing swap network at the end is omitted and the phase banks that
 feed the register are rearranged instead, which is how the hardware-facing
 adders avoid swap gates.
 
+The transform is built directly on whichever qubits hold the register, so
+the same construction serves a bare m-qubit circuit and the auxiliary
+register behind a system register.
+
 Values in the register are two's complement: an m-bit register holds
 integers in [-2^(m-1), 2^(m-1)), with the top bit as the sign. A polynomial
 over bits is loaded by one phase bank per term: the bank writes the term's
 contribution onto every register qubit, controlled on the term's variables,
-and an inverse QFT turns the accumulated phases back into a readable value.
-Coefficients are integers, so every bank angle is an exact dyadic multiple
-of pi and the polynomial loads exactly (no 2^-m rounding).
+with one :meth:`FixedPointPoly.bank_op` per qubit, and an inverse QFT turns
+the accumulated phases back into a readable value. Coefficients are
+integers, so every bank angle is an exact dyadic multiple of pi and the
+polynomial loads exactly (no 2^-m rounding).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CPhase, H, Op, Phase, inverted
+from .circuit import CNOT, Circuit, CPhase, H, Op, Phase, inverted
 
 # ---------------------------------------------------------------------------
 # QFT circuits
@@ -30,9 +35,23 @@ from .circuit import Circuit, CPhase, H, Op, Phase, inverted
 
 
 def _swap_ops(a: int, b: int) -> list[Op]:
-    from .circuit import CNOT
-
     return [CNOT(a, b), CNOT(b, a), CNOT(a, b)]
+
+
+def _qft_ops(qubits, inverse: bool, with_swaps: bool) -> list[Op]:
+    """Transform on the register ``qubits``, least significant first (see
+    module docstring for the sign convention)."""
+    q = list(qubits)
+    m = len(q)
+    ops: list[Op] = []
+    for i in range(m - 1, -1, -1):
+        ops.append(H(q[i]))
+        for l in range(i - 1, -1, -1):
+            ops.append(CPhase((q[l],), q[i], -math.pi / (1 << (i - l))))
+    if with_swaps:
+        for j in range(m // 2):
+            ops.extend(_swap_ops(q[j], q[m - 1 - j]))
+    return inverted(ops) if inverse else ops
 
 
 def qft_circuit(m: int, inverse: bool = False, with_swaps: bool = True) -> Circuit:
@@ -40,19 +59,7 @@ def qft_circuit(m: int, inverse: bool = False, with_swaps: bool = True) -> Circu
     convention). Without swaps the output register is bit-reversed."""
     if m < 1:
         raise ValueError("need at least one qubit")
-    ops: list[Op] = []
-    for i in range(m - 1, -1, -1):
-        ops.append(H(i))
-        for l in range(i - 1, -1, -1):
-            ops.append(CPhase((l,), i, -math.pi / (1 << (i - l))))
-    if with_swaps:
-        for j in range(m // 2):
-            ops.extend(_swap_ops(j, m - 1 - j))
-    if inverse:
-        ops = inverted(ops)
-    circ = Circuit(m)
-    circ.extend(ops)
-    return circ
+    return Circuit(m).extend(_qft_ops(range(m), inverse, with_swaps))
 
 
 # ---------------------------------------------------------------------------
@@ -117,48 +124,29 @@ class FixedPointPoly:
             values += d * bits[:, sorted(s)].all(axis=1)
         return values % (1 << self.precision)
 
-    def bank_angle(self, d: int, register_bit: int) -> float:
-        """Phase written by coefficient ``d`` onto value bit ``register_bit``:
-        the exact dyadic angle -pi*d / 2^(m-1-j)."""
-        return -math.pi * d / (1 << (self.precision - 1 - register_bit))
+    def bank_op(self, d: int, support: frozenset[int], j: int, target: int) -> Op:
+        """Phase that the term d * prod_{l in support} b_l writes onto value
+        bit ``j``, held on qubit ``target``: the exact dyadic angle
+        -pi*d / 2^(m-1-j), controlled on the term's variables (an
+        uncontrolled phase for a constant term)."""
+        angle = -math.pi * d / (1 << (self.precision - 1 - j))
+        return CPhase(tuple(support), target, angle) if support else Phase(target, angle)
 
 
 def bank_ops_for_bit(poly: FixedPointPoly, register_bit: int, target: int) -> list[Op]:
     """Phase bank writing value bit ``register_bit`` of every term onto
-    ``target``, controlled on each term's variables (an uncontrolled phase
-    for constant terms)."""
-    ops: list[Op] = []
-    for d, s in poly.terms:
-        angle = poly.bank_angle(d, register_bit)
-        if s:
-            ops.append(CPhase(tuple(sorted(s)), target, angle))
-        else:
-            ops.append(Phase(target, angle))
-    return ops
-
-
-def load_bank_ops(poly: FixedPointPoly, aux_of_bit) -> list[Op]:
-    """One bank per term: the term's phases for value bit j land on qubit
-    ``aux_of_bit(j)``, giving num_terms * precision rotations in total."""
-    ops: list[Op] = []
-    for d, s in poly.terms:
-        for j in range(poly.precision):
-            angle = poly.bank_angle(d, j)
-            target = aux_of_bit(j)
-            if s:
-                ops.append(CPhase(tuple(sorted(s)), target, angle))
-            else:
-                ops.append(Phase(target, angle))
-    return ops
+    ``target``."""
+    return [poly.bank_op(d, s, register_bit, target) for d, s in poly.terms]
 
 
 def fourier_load_polynomial(poly: FixedPointPoly, n: int) -> Circuit:
     """Circuit on n system + m auxiliary qubits computing |b>|0> -> |b>|g~(b)>.
 
     Prepares the auxiliaries in |+>^m, applies one multi-controlled phase
-    bank per polynomial term, and finishes with the swap-free inverse QFT.
-    The missing swaps are compensated by loading the banks in bit-reversed
-    order, so the register still reads out little-endian.
+    bank per polynomial term (num_terms * precision rotations in total),
+    and finishes with the swap-free inverse QFT. The missing swaps are
+    compensated by loading value bit j onto auxiliary m-1-j, so the
+    register still reads out little-endian.
     """
     if poly.max_variable() >= n:
         raise ValueError("polynomial references a variable beyond the system register")
@@ -166,33 +154,27 @@ def fourier_load_polynomial(poly: FixedPointPoly, n: int) -> Circuit:
     circ = Circuit(n + m)
     for k in range(m):
         circ.h(n + k)
-    circ.extend(load_bank_ops(poly, lambda j: n + (m - 1 - j)))
-    for op in qft_circuit(m, inverse=True, with_swaps=False).ops:
-        circ.append(_shift_op(op, n))
+    for d, s in poly.terms:
+        for j in range(m):
+            circ.append(poly.bank_op(d, s, j, n + m - 1 - j))
+    circ.extend(_qft_ops(range(n, n + m), inverse=True, with_swaps=False))
     return circ
-
-
-def _shift_op(op: Op, offset: int) -> Op:
-    """Translate a single-register op onto qubits offset..offset+m-1."""
-    from .circuit import CNOT, Barrier
-
-    match op:
-        case H(q):
-            return H(q + offset)
-        case Phase(q, a):
-            return Phase(q + offset, a)
-        case CPhase(controls, target, a):
-            return CPhase(tuple(c + offset for c in controls), target + offset, a)
-        case CNOT(c, t):
-            return CNOT(c + offset, t + offset)
-        case Barrier():
-            return op
-    raise TypeError(f"cannot shift op {op!r}")
 
 
 # ---------------------------------------------------------------------------
 # Semiclassical inverse QFT
 # ---------------------------------------------------------------------------
+
+
+def readout_round(circ: Circuit, aux: int, t: int) -> None:
+    """Round t of a semiclassical inverse QFT on the readout qubit ``aux``:
+    phases conditioned on the bits already read (classical bits 0..t-1),
+    then H, measure into classical bit t, and reset."""
+    for s in range(t):
+        circ.conditional(s, Phase(aux, math.pi / (1 << (t - s))))
+    circ.h(aux)
+    circ.measure(aux, t)
+    circ.reset(aux)
 
 
 def semiclassical_inverse_qft(m: int) -> Circuit:
@@ -209,13 +191,7 @@ def semiclassical_inverse_qft(m: int) -> Circuit:
     if m < 1:
         raise ValueError("need at least one qubit")
     circ = Circuit(m + 1, num_clbits=m)
-    aux = m
     for t in range(m):
-        q = m - 1 - t
-        circ.extend(_swap_ops(q, aux))
-        for s in range(t):
-            circ.conditional(s, Phase(aux, math.pi / (1 << (t - s))))
-        circ.h(aux)
-        circ.measure(aux, t)
-        circ.reset(aux)
+        circ.extend(_swap_ops(m - 1 - t, m))
+        readout_round(circ, m, t)
     return circ

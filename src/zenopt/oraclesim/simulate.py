@@ -129,6 +129,16 @@ def _reached(amps: np.ndarray) -> bool:
     return float(np.max(np.sum(np.abs(amps) ** 2, axis=0))) > _PRUNE
 
 
+def check_branch_cap(circ: Circuit) -> None:
+    """Refuse a circuit wider than the branch-enumeration cap. Run it before
+    building any 2^N-row input for the circuit."""
+    if circ.num_qubits > ENUMERATE_QUBIT_CAP:
+        raise ValueError(
+            f"{circ.num_qubits} qubits exceeds the branch-enumeration cap "
+            f"of {ENUMERATE_QUBIT_CAP}"
+        )
+
+
 def enumerate_branches(circ: Circuit, input_state) -> list[Branch]:
     """Every measurement-outcome branch, exactly, for one input or a batch.
 
@@ -137,11 +147,7 @@ def enumerate_branches(circ: Circuit, input_state) -> list[Branch]:
     side. A branch is dropped only when it is empty for every input, so for
     each column the branch probabilities sum to one (up to float rounding).
     """
-    if circ.num_qubits > ENUMERATE_QUBIT_CAP:
-        raise ValueError(
-            f"{circ.num_qubits} qubits exceeds the branch-enumeration cap "
-            f"of {ENUMERATE_QUBIT_CAP}"
-        )
+    check_branch_cap(circ)
     amps0 = input_state.amps if isinstance(input_state, StateVector) else input_state
     amps0 = np.array(amps0, dtype=np.complex128)
     n = circ.num_qubits
@@ -204,6 +210,7 @@ def unitary_matrix(circ: Circuit) -> np.ndarray:
     """Dense matrix of a measurement-free circuit."""
     if not circ.is_unitary_only():
         raise ValueError("circuit contains measurements, resets, or classical control")
+    check_branch_cap(circ)
     (branch,) = enumerate_branches(circ, np.eye(1 << circ.num_qubits))
     return branch.amps
 
@@ -231,6 +238,7 @@ def induced_superoperator(circ: Circuit, system_qubits) -> list[np.ndarray]:
     Returns one Kraus operator per outcome branch, so the channel is
     rho -> sum_b K_b rho K_b^dagger, marginalized over the auxiliaries.
     """
+    check_branch_cap(circ)
     system_qubits = list(system_qubits)
     n = circ.num_qubits
     aux_qubits = [q for q in range(n) if q not in system_qubits]

@@ -96,6 +96,13 @@ class PortfolioInstance:
         for name, value in (("q", self.q), ("sigma", sigma), ("mu", mu)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
+        constraints = tuple(self.constraints)
+        for i, c in enumerate(constraints):
+            if len(c.coeffs) != self.n:
+                raise ValueError(
+                    f"constraint {i} ({c.sense.value}) has {len(c.coeffs)} coefficients "
+                    f"for {self.n} assets"
+                )
         if np.max(np.abs(sigma - sigma.T)) > 1e-12:
             raise ValueError("sigma is not symmetric")
         if np.linalg.eigvalsh(sigma)[0] < -1e-9:
@@ -104,7 +111,7 @@ class PortfolioInstance:
         mu.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", constraints)
 
     # -- objective ---------------------------------------------------------
 

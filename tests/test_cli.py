@@ -164,6 +164,9 @@ NINE_VARIABLES = "1,1,1,1,1,1,1,1,1 LEQ 3"
         pytest.param(["compile-oracle", "--constraint", NINE_VARIABLES, "--precision", "4",
                       "--verify"],
                      "branch-enumeration cap", id="compile-oracle-13-qubits"),
+        pytest.param(["compile-oracle", "--constraint", "1,1,1,1 LEQ 2", "--precision", "30",
+                      "--verify"],
+                     "34 qubits exceeds the branch-enumeration cap", id="compile-oracle-34-qubits"),
         pytest.param(["run-qaoa", "--generate", "4,7", "--restarts", "1", "--budget", "2",
                       "--jobs", "2"],
                      "invalid choice: 2", id="run-qaoa-jobs-2"),
@@ -235,6 +238,19 @@ def test_non_finite_instance_exits_2(tmp_path, capsys, field, value):
     assert run_cli("run-qaoa", "--instance", str(path), "--restarts", "1", "--budget", "4") == 2
     err = capsys.readouterr().err
     assert "cannot load instance" in err and f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_constraint_length_mismatch_exits_2(tmp_path, capsys, length):
+    """An instance whose constraint does not have one coefficient per asset
+    is refused on loading, not failed later by a matrix product."""
+    data = problems.generate_instance(4, 7).to_dict()
+    data["constraints"][0]["coeffs"] = [1.0] * length
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("run-qaoa", "--instance", str(path), "--restarts", "1", "--budget", "4") == 2
+    err = capsys.readouterr().err
+    assert "cannot load instance" in err and f"constraint 0 (LEQ) has {length} coefficients" in err
 
 
 def test_malformed_circuit_file_exits_2(tmp_path, capsys):

@@ -98,6 +98,12 @@ def test_text_format_rejects_garbage():
         Circuit.from_text("QUBITS 2\nCLBITS 0\nWOBBLE 1\n")
     with pytest.raises(ValueError):
         Circuit.from_text("QUBITS 2\nCLBITS 0\nMEASURE 0 => c0\n")
+    # A line with more tokens than its op's canonical line is refused, not
+    # read as a shorter op.
+    for line in ("CNOT 0 1 2", "H 2 junk", "BARRIER now", "MEASURE 0 -> c0 c1",
+                 "CP 0 1 0.5 2", "CCOND c0 PHASE 1 0.5 0.25"):
+        with pytest.raises(ValueError, match="malformed circuit line"):
+            Circuit.from_text(f"QUBITS 3\nCLBITS 2\n{line}\n")
     # Malformed headers are refused with the header message, not an IndexError.
     for text in ("QUBITS\nCLBITS 1\n", "QUBITS 2\n", "QUBITS 2\nCLBITS\n",
                  "QUBITS two\nCLBITS 0\n", "CLBITS 0\nQUBITS 2\n", ""):
@@ -446,6 +452,15 @@ def test_equality_oracle_aux_counts():
     assert oracle_fixture("eq-qcl").circuit.num_qubits == 5  # one readout qubit
     assert oracle_fixture("eq").circuit.num_qubits == 7
     assert oracle_fixture("ineq").circuit.num_qubits == 8
+
+
+def test_oversized_circuit_is_refused_before_allocation():
+    # 2^40 rows would need terabytes: the cap must be checked first.
+    wide = Circuit(40)
+    with pytest.raises(ValueError, match="branch-enumeration cap of 12"):
+        induced_superoperator(wide, range(4))
+    with pytest.raises(ValueError, match="branch-enumeration cap of 12"):
+        unitary_matrix(wide)
 
 
 def test_always_satisfied_constraint_gives_identity_channel():

@@ -130,6 +130,14 @@ def test_non_finite_field_is_refused_by_name(case):
         PortfolioInstance(**inst, constraints=(LinearConstraint(**con),))
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_constraint_length_is_refused_by_name(length):
+    con = LinearConstraint((1.0,) * length, Sense.LEQ, 2.0)
+    with pytest.raises(ValueError, match=f"^constraint 1 \\(LEQ\\) has {length} coefficients for 4 assets"):
+        PortfolioInstance(n=4, q=0.5, sigma=np.eye(4), mu=np.zeros(4),
+                          constraints=(LinearConstraint((1.0,) * 4, Sense.GEQ, 1.0), con))
+
+
 def test_instance_json_round_trip():
     inst = generate_instance(5, 9, InstanceConfig(return_constraint=True))
     text = inst.to_json()
