@@ -1,10 +1,21 @@
 """Exact complex linear algebra and state evolution for small qubit registers.
 
-Everything here is dense double-precision numpy. States live on ``n`` qubits
+Everything here is exact double-precision numpy. States live on ``n`` qubits
 with little-endian bit order: bit ``j`` of a computational-basis index is
 variable ``x_{j+1}``. Pure states are kept as :class:`StateVector` for speed
 and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
+
+A density matrix has two storage forms. The promotion builds the factored
+form rho = L S L^H (a d x r factor L, an r x r Hermitian S, r < d) in O(d).
+Diagonal steps scale the rows of L, a rank-one uniform step appends the
+uniform vector u to L once and then only updates S, and a measurement zeroes
+the cross-block entries of S once the columns of L are split into block
+pieces (which the next rank-one step does), so a measured complete-graph
+QAOA costs O(d r) per layer and O(r^3) per sub-step. Everything else (any
+other generator, a read of ``mat``, the eigenvalue check, a rank that would
+reach d) leaves it through the one exit ``DensityMatrix._densify`` for the
+dense d x d form.
 
 Each generator kind is one class that holds its facts: its spectral span
 ``span()``, the frame ``frame`` its kernels act in, a propagator
@@ -118,7 +129,7 @@ class _Stored:
         """Move ``_arr`` into (or out of) the frame, in place; return self."""
         if self._framed is not framed:
             d = _frame_phases(self.n) if framed else _frame_phases(self.n).conj()
-            for side in (d,) if self._arr.ndim == 1 else (d[:, None], d.conj()):
+            for side in self._frame_sides(d):
                 self._arr *= side
             self._framed = framed
         return self
@@ -164,17 +175,32 @@ class StateVector(_Stored):
     def uniform(cls, n: int) -> "StateVector":
         return cls(np.full(1 << n, complex(1.0 / math.sqrt(1 << n))), copy=False, validate=False)
 
+    def _frame_sides(self, d):
+        return (d,)
+
     def probabilities(self) -> np.ndarray:
         return np.abs(self._arr) ** 2
 
     def to_density(self) -> "DensityMatrix":
-        rho = DensityMatrix(np.outer(self._arr, self._arr.conj()), copy=False, validate=False)
-        rho._framed = self._framed
-        return rho
+        """|psi><psi| in the factored form L = psi, S = [1]: O(d), not O(d^2)."""
+        one = np.ones((1, 1), dtype=np.complex128)
+        return DensityMatrix._factored(self.n, self._arr[:, None].copy(), one, self._framed)
 
 
 class DensityMatrix(_Stored):
-    """Exact mixed state of an ``n``-qubit register.
+    """Exact mixed state of an ``n``-qubit register, in one of two storage forms.
+
+    *Dense*: ``_arr`` is the d x d matrix. *Factored*: ``_arr`` is a d x r
+    column-major factor L and ``_S`` an r x r Hermitian matrix, rho = L S L^H
+    with r < d.
+    A pure state is promoted to the factored form (L = psi), and it stays
+    factored through diagonal steps (the rows of L are scaled), rank-one
+    uniform steps (S <- A S A^H, see :class:`RankOneUniform`) and basis-aligned
+    measurements (:meth:`_measure_factors`; the next rank-one step splits the
+    columns of L into block pieces); the frame flag then applies to the rows
+    of L. Every other use leaves the form through the one exit
+    :meth:`_densify`: any other generator, a read of ``mat``,
+    :meth:`min_eigenvalue` and :meth:`validate`, or a rank that would reach d.
 
     Mutated in place by evolution and measurement; single-owner semantics.
     Long Zeno chains re-symmetrize and renormalize every
@@ -182,8 +208,12 @@ class DensityMatrix(_Stored):
     drift out of the Hermiticity/trace invariants.
     """
 
-    __slots__ = ("_superops",)
-    mat = property(_Stored._public, _Stored._assign, doc="The matrix in the computational basis.")
+    # _u: boolean mask of the columns of L that sum to the uniform vector
+    # (None: no such record). _blocks: (labels, same-block mask of the columns)
+    # once every column of L lies in one block of the measurement whose labels
+    # array is ``labels`` (None: not known). _pending: a measurement applied to
+    # L S L^H but not yet to L and S (None: none).
+    __slots__ = ("_superops", "_S", "_u", "_blocks", "_pending")
 
     def __init__(self, mat: np.ndarray, *, copy: bool = True, validate: bool = True):
         mat = np.array(mat, dtype=np.complex128, copy=copy)
@@ -199,25 +229,123 @@ class DensityMatrix(_Stored):
             if abs(tr - 1.0) > _NORM_TOL:
                 raise ValueError(f"density matrix trace {tr} is not 1 within {_NORM_TOL}")
 
+    @classmethod
+    def _factored(cls, n: int, factor: np.ndarray, s: np.ndarray, framed: bool) -> "DensityMatrix":
+        rho = cls.__new__(cls)
+        rho.n, rho._arr, rho._framed, rho._S = n, factor, framed, s
+        rho._u = rho._blocks = rho._pending = None
+        rho._superops = 0
+        return rho
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The matrix in the computational basis (densifies a factored state)."""
+        return self._set_frame(False)._densify()
+
+    @mat.setter
+    def mat(self, mat: np.ndarray) -> None:
+        self._assign(mat)
+        self._S = self._u = self._blocks = self._pending = None
+
+    def _frame_sides(self, d):
+        return (d[:, None],) if self._S is not None else (d[:, None], d.conj())
+
+    def _densify(self) -> np.ndarray:
+        """The one exit from the factored form: ``_arr`` becomes L S L^H, in
+        the frame L is in. Returns the dense ``_arr``."""
+        if self._S is not None:
+            factor, s = self._arr, self._S
+            if s.shape[0] == 1:  # a promoted pure state: one outer product, no BLAS call
+                self._arr = np.outer(factor[:, 0] * s[0, 0], factor[:, 0].conj())
+            else:
+                self._arr = (factor @ s) @ factor.conj().T
+            if self._pending is not None:
+                np.putmask(self._arr, self._pending.cross_block_mask(), 0.0)
+            self._S = self._u = self._blocks = self._pending = None
+        return self._arr
+
+    def _append(self, column: np.ndarray) -> bool:
+        """Add ``column`` to L with zero weight in S; False if r would reach d."""
+        r = self._S.shape[0]
+        if r + 1 >= self.dim:
+            return False
+        factor = np.empty((self.dim, r + 1), dtype=np.complex128, order="F")
+        factor[:, :r], factor[:, r] = self._arr, column
+        s = np.zeros((r + 1, r + 1), dtype=np.complex128)
+        s[:r, :r] = self._S
+        self._arr, self._S, self._blocks = factor, s, None
+        return True
+
+    def _measure_factors(self, m) -> bool:
+        """Non-selective measurement ``m`` on the factored form. Once every
+        column of L lies in one block of ``m``, it zeroes the cross-block
+        entries of S. Otherwise ``m`` stays pending: it commutes with diagonal
+        steps and keeps the diagonal, so only the next rank-one step
+        (:meth:`_split`) or densify applies it. False (nothing done) in the
+        dense form or if an earlier pending measurement cannot be split."""
+        if self._S is None:
+            return False
+        if self._pending is not None and self._pending is not m and not self._split():
+            return False
+        if self._blocks is not None and self._blocks[0] is m.labels:
+            self._S *= self._blocks[1]
+        else:
+            self._pending = m
+        return True
+
+    def _split(self) -> bool:
+        """Apply the pending measurement to the factors: split every column of
+        L into its non-empty block pieces, then zero the cross-block entries
+        of S. False (nothing done) if r would reach d."""
+        labels, factor, r = self._pending.labels, self._arr, self._arr.shape[1]
+        # Column a of the new factor is the block-blocks[a] piece of column
+        # src[a]: L = L' T with T[a, src[a]] = 1, so S' = S[src][:, src].
+        rows, cols = np.nonzero(factor)
+        blocks, src = np.divmod(np.flatnonzero(np.bincount(labels[rows] * r + cols)), r)
+        if src.size >= self.dim:
+            return False
+        self._arr = factor[:, src]  # column-major, as every factor
+        self._arr *= labels[:, None] == blocks
+        self._S = self._S[src][:, src]
+        if self._u is not None:
+            self._u = self._u[src]
+        self._blocks = (labels, blocks[:, None] == blocks)
+        self._S *= self._blocks[1]
+        self._pending = None
+        return True
+
     def trace(self) -> float:
+        if self._S is not None:
+            return float(np.vdot(self._arr, self._arr @ self._S).real)
         return float(np.trace(self._arr).real)
 
     def probabilities(self) -> np.ndarray:
+        if self._S is not None:  # the row sums of (L S) o conj(L); D cancels
+            return np.einsum("ij,ij->i", self._arr @ self._S, self._arr.conj()).real
         return np.real(np.diag(self._arr)).copy()
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self._arr + self._arr.conj().T) / 2.0)[0])
+        mat = self._densify()
+        return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
 
     def note_superop(self) -> None:
         """Drift control hook, called by each measurement super-operator."""
         self._superops += 1
         if self._superops % _RESYM_INTERVAL == 0:
-            self._arr += self._arr.conj().T
-            self._arr *= 0.5
-            self._arr /= np.trace(self._arr).real
+            target = self._arr if self._S is None else self._S
+            target += target.conj().T
+            target *= 0.5
+            target /= self.trace()
+
+    def copy(self) -> "DensityMatrix":
+        if self._S is None:
+            return super().copy()
+        out = DensityMatrix._factored(self.n, self._arr.copy(order="F"), self._S.copy(), self._framed)
+        out._u, out._blocks, out._pending = self._u, self._blocks, self._pending  # never written in place
+        return out
 
     def validate(self, tol: float = _NORM_TOL) -> None:
-        if not is_hermitian(self._arr, tol):
+        if not is_hermitian(self._densify(), tol):
             raise ValueError("density matrix drifted off Hermitian")
         if abs(self.trace() - 1.0) > tol:
             raise ValueError("density matrix trace drifted off 1")
@@ -290,6 +418,11 @@ class Generator:
         mat = self._evolve(mat, prop, 1, self.dim)
         return self._evolve(mat, np.conj(prop), self.dim, 1)
 
+    def _evolve_factors(self, rho: "DensityMatrix", prop) -> bool:
+        """Conjugate a factored ``rho`` in place, keeping its form; False if
+        this kind cannot (the caller densifies)."""
+        return False
+
 
 class Diagonal(Generator):
     """Cost-style operator, diagonal in the computational basis."""
@@ -315,6 +448,11 @@ class Diagonal(Generator):
         view = arr.reshape(pre, self.dim, post)
         view *= phases[:, None]
         return view.reshape(arr.shape)
+
+    def _evolve_factors(self, rho, phases):
+        rho._arr *= phases[:, None]  # the rows of L; its columns no longer sum to u
+        rho._u = None
+        return True
 
 
 class TransverseField(Generator):
@@ -407,6 +545,20 @@ class RankOneUniform(Generator):
         view += (c / self.dim) * view.sum(axis=1, keepdims=True)
         return view.reshape(arr.shape)
 
+    def _evolve_factors(self, rho, c):
+        # With columns e of L that sum to u (appended once after a diagonal
+        # step), U L = L + c u (u^H L) = L A, A = I + c e (u^H L): S <- A S A^H.
+        if rho._pending is not None and not rho._split():
+            return False
+        if rho._u is None:
+            if not rho._append(np.full(self.dim, 1.0 / math.sqrt(self.dim), dtype=np.complex128)):
+                return False
+            rho._u = np.arange(rho._S.shape[0]) == rho._S.shape[0] - 1
+        a = np.eye(rho._S.shape[0], dtype=np.complex128)
+        a[rho._u] += (c / math.sqrt(self.dim)) * rho._arr.sum(axis=0)
+        rho._S = (a @ rho._S) @ a.conj().T
+        return True
+
 
 class DenseHermitian(Generator):
     """Arbitrary Hermitian generator, exponentiated via its eigendecomposition,
@@ -472,8 +624,8 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
         state._set_frame(g.frame)
     if isinstance(state, StateVector):
         state._arr = g._evolve(state._arr, prop, 1, 1)
-    else:
-        state._arr = g._evolve_density(state._arr, prop)
+    elif state._S is None or not g._evolve_factors(state, prop):
+        state._arr = g._evolve_density(state._densify(), prop)
     return state
 
 

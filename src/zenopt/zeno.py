@@ -15,6 +15,8 @@ measured block, clamped to at least one (the raw formulas can return zero
 for tiny angles, which would silently turn the block into an unmeasured
 one). ``delta`` must stay at or below 0.19; the bounds are not valid beyond
 that, so the limit is enforced at the API boundary instead of extrapolating.
+A tiny ``delta`` or ``eta`` gives an exact but astronomically large count,
+which a block refuses above :data:`MAX_MEASUREMENTS`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from .qcore import (
 )
 
 DELTA_MAX = 0.19
+#: Largest measurement count one block runs. The schedule rules return exact
+#: integers (``schedule_eta(1.5, 1e-300)`` has 300 digits), so a count above
+#: this is refused rather than looped over.
+MAX_MEASUREMENTS = 10**6
 
 GeneratorAngles = Sequence[tuple[Generator, float]]
 
@@ -72,12 +78,16 @@ def apply_measurement(state: State, m: ops.Measurement) -> DensityMatrix:
     Promotes a pure state to a density matrix (measurements generally produce
     mixtures). Trace is preserved exactly; the result is block-diagonal with
     respect to the projector index sets, so the implementation just zeroes
-    the cross-block entries, in the transverse field's frame too.
+    the cross-block entries, in the transverse field's frame too: of the
+    matrix, or in the factored form of S once every column of L lies in one
+    block (until then the factored state keeps the measurement pending, see
+    ``DensityMatrix._measure_factors``).
     """
     if state.dim != m.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
     rho = as_density(state)
-    np.putmask(rho._arr, m.cross_block_mask(), 0.0)
+    if not rho._measure_factors(m):
+        np.putmask(rho._densify(), m.cross_block_mask(), 0.0)
     rho.note_superop()
     return rho
 
@@ -92,10 +102,15 @@ def zeno_block(
 
     With ``n_measurements`` = N >= 1, repeats N times: evolve each generator
     by angle/N in order, then apply the measurement. N = 0 applies the
-    unscaled product with no measurement at all (and no promotion).
+    unscaled product with no measurement at all (and no promotion). A count
+    above :data:`MAX_MEASUREMENTS` raises ValueError.
     """
     if n_measurements < 0:
         raise ValueError("measurement count must be non-negative")
+    if n_measurements > MAX_MEASUREMENTS:
+        raise ValueError(
+            f"measurement count {n_measurements} exceeds the per-block limit of {MAX_MEASUREMENTS}"
+        )
     steps = max(1, n_measurements)
     for _ in range(steps):
         for g, angle in generators_with_angles:

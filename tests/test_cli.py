@@ -189,6 +189,23 @@ NINE_VARIABLES = "1,1,1,1,1,1,1,1,1 LEQ 3"
                      "--penalty lists 1 factors for 2 constraints", id="sweep-layers-penalty-count"),
         pytest.param(["compile-oracle", "--constraint", "1,1 LEQ 1", "--precision", "0"],
                      "precision must be at least one bit, got 0", id="compile-oracle-precision-0"),
+        # Counts above the per-block limit: each of these looped until killed.
+        pytest.param(["run-qaoa", "--generate", "4,7", "--schedule", "eta=1e-300",
+                      "--restarts", "1", "--budget", "2"],
+                     "exceeds the per-block limit of 1000000", id="run-qaoa-eta-1e-300"),
+        pytest.param(["run-qaoa", "--generate", "4,7", "--schedule", "theorem1",
+                      "--delta", "1e-300", "--restarts", "1", "--budget", "2"],
+                     "exceeds the per-block limit of 1000000", id="run-qaoa-theorem1-1e-300"),
+        pytest.param(["run-qaoa", "--generate", "4,7", "--mixer", "cg", "--schedule", "cor3",
+                      "--delta", "1e-12", "--restarts", "1", "--budget", "2"],
+                     "exceeds the per-block limit of 1000000", id="run-qaoa-cg-cor3-1e-12"),
+        pytest.param(["run-qaoa", "--generate", "4,7", "--schedule", "manual=100000000000",
+                      "--restarts", "1", "--budget", "2"],
+                     "measurement count 100000000000 exceeds the per-block limit",
+                     id="run-qaoa-manual-1e11"),
+        pytest.param(["sweep", "eta", "--generate", "4,7", "--etas", "1e-300", "--restarts", "1",
+                      "--budget", "2", "--csv", "OUT"],
+                     "exceeds the per-block limit of 1000000", id="sweep-eta-1e-300"),
     ],
 )
 def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, args, message):
@@ -447,6 +464,18 @@ def test_scaling_table(tmp_path):
     for r in rows:
         assert int(r["n_measurements"]) == schedule_cor3(
             mix[r["mixer"]], float(r["beta"]), 1, float(r["delta"]))
+
+
+def test_scaling_table_prints_counts_above_the_block_limit(tmp_path):
+    # The table only computes counts, so it keeps the exact integers that a
+    # measured run would refuse.
+    csv_path = tmp_path / "scaling.csv"
+    assert run_cli(
+        "scaling-table", "--num-qubits", "3", "--deltas", "1e-300",
+        "--betas", f"{math.pi / 2}", "--csv", str(csv_path),
+    ) == 0
+    counts = [int(r["n_measurements"]) for r in read_csv(csv_path)]
+    assert len(counts) == 2 and all(c > 10**299 for c in counts)
 
 
 def test_scaling_table_delta_out_of_range(tmp_path):

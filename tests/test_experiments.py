@@ -1,10 +1,20 @@
 """Experiment protocols: bundles, transfer behavior, sweep workers."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zenopt
 from zenopt import ansatz, experiments, problems, zeno
-from zenopt.qcore import TransverseField
+from zenopt.operators import Measurement, Projector, complement
+from zenopt.qcore import DenseHermitian, RankOneUniform, TransverseField
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +151,83 @@ def test_scaling_table_rows():
     assert by_key[("x", np.pi / 2)] == 93
     assert by_key[("x", 0.0)] == 1
     assert by_key[("cg", np.pi / 2)] == 3  # ceil(2.4674/0.95607)
+
+
+# ---------------------------------------------------------------------------
+# Measured cg mixer in the factored form rho = L S L^H
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=7),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from((2, 3)),
+    st.sampled_from((1.6, 0.4, 0.1)),
+)
+def test_measured_cg_stays_low_rank_and_matches_the_dense_path(n, seed, p, outcomes, eta):
+    inst = problems.generate_instance(n, seed, problems.InstanceConfig(return_constraint=True))
+    bundle = experiments.ProblemBundle.build(inst)
+    m = bundle.measurement
+    if outcomes == 3:  # the infeasible block split in two
+        rest = complement(bundle.feasible).indices
+        m = Measurement((bundle.feasible, Projector(n, rest[::2]), Projector(n, rest[1::2])))
+    rng = np.random.default_rng(seed)
+    params = ansatz.QaoaParams(*(tuple(rng.uniform(-math.pi, math.pi, p)) for _ in range(2)))
+    schedule = zeno.ZenoSchedule.from_eta(eta)
+    cg = RankOneUniform(n)
+    rho = ansatz.run_qaoa_zeno(bundle.cost_scaled, cg, m, params, schedule, bundle.initial)
+    dense = ansatz.run_qaoa_zeno(
+        bundle.cost_scaled, DenseHermitian(cg.materialize()), m, params, schedule, bundle.initial
+    )
+
+    # Each measured cg block adds the J non-empty block pieces of u to L. The
+    # first block starts on the pure state, so its promoted column splits into
+    # J pieces too: L has at most J * (p + 1) columns, and rho rank 1 + J * p.
+    outcomes = sum(not proj.is_empty() for proj in m.projectors)
+    if outcomes * (p + 1) < 1 << n:
+        assert rho._S is not None and rho._S.shape[0] <= outcomes * (p + 1)
+    got, want = problems.evaluate_metrics(rho, inst), problems.evaluate_metrics(dense, inst)
+    for key in want:
+        assert abs(got[key] - want[key]) < 1e-12
+    np.testing.assert_allclose(rho.mat, dense.mat, rtol=0, atol=1e-12)
+    assert np.linalg.matrix_rank(rho.mat, tol=1e-10, hermitian=True) <= 1 + outcomes * p
+
+
+_RSS_CHILD = """
+import os, resource
+from zenopt import ansatz, experiments, problems, qcore, zeno
+
+n = 11
+inst = problems.generate_instance(n, 3, problems.InstanceConfig(return_constraint=True))
+bundle = experiments.ProblemBundle.build(inst)
+params = ansatz.QaoaParams((0.9, -0.7), (0.6, 1.3))
+mixer, schedule = qcore.RankOneUniform(n), zeno.ZenoSchedule.from_eta(0.2)
+# A forked process starts its high-water mark at its resident set, so the
+# transient peaks of imports and set-up do not hide what the run allocates.
+pid = os.fork()
+if pid == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    metrics = experiments.evaluate_zeno_qaoa(bundle, mixer, params, schedule)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(after - before, metrics["total_measurements"], flush=True)
+    os._exit(0)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_measured_cg_run_peak_rss_stays_below_one_dense_matrix():
+    # ru_maxrss (KiB on Linux) also sees BLAS buffers, which tracemalloc does
+    # not. One dense 11-qubit density matrix is 64 MiB.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(zenopt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    growth_kib, measurements = done.stdout.split()
+    assert float(measurements) == 8.0
+    assert int(growth_kib) < 16 * 1024

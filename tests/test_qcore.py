@@ -500,3 +500,111 @@ def test_frame_never_leaks(case, steps):
         public = state.copy().amps if psi is not None else _dense(state.copy())
         np.testing.assert_allclose(public, rho if psi is None else psi, rtol=0, atol=1e-12)
     np.testing.assert_allclose(_dense(state), rho, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Factored density matrices: rho = L S L^H through diagonal, rank-one and
+# measurement steps, densified by every other use
+# ---------------------------------------------------------------------------
+
+# Diagonal, rank-one and measurement steps are listed twice so that long
+# factored stretches are common; "x", "dense" and a non-diagonal expectation
+# leave the factored form.
+FACTORED_STEPS = GENERATOR_KINDS + (
+    "diag", "cg", "measure2", "measure3", "trivial", "measure2", "measure3",
+    "copy", "probabilities", "expectation",
+)
+
+
+def _measurements(n, rng):
+    # Independent partitions, so that neither of two consecutive measurements
+    # refines the other.
+    labels = rng.integers(0, 3, 1 << n)
+    return {
+        "measure2": Measurement.two_outcome(Projector(n, np.flatnonzero(rng.random(1 << n) < 0.5))),
+        "measure3": Measurement([Projector(n, np.flatnonzero(labels == j)) for j in range(3)]),
+        "trivial": Measurement.trivial(n),
+    }
+
+
+def _rank(state):
+    """Columns of a factored density matrix; None in any other form."""
+    return state._S.shape[0] if isinstance(state, DensityMatrix) and state._S is not None else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "n": st.integers(min_value=1, max_value=6),
+        "mixed": st.booleans(),
+        "seed": st.integers(min_value=0, max_value=2**32 - 1),
+    }),
+    st.lists(st.sampled_from(FACTORED_STEPS), min_size=1, max_size=15),
+)
+def test_factored_density_matches_expm(case, steps):
+    n = case["n"]
+    rng = np.random.default_rng(case["seed"])
+    gens = {kind: _random_generator(kind, n, rng) for kind in GENERATOR_KINDS}
+    measurements = _measurements(n, rng)
+    state = _random_state(n, case["mixed"], rng)
+    rho = _dense(state)
+    for step in steps:
+        if step in gens:
+            angle = float(rng.uniform(-3.0, 3.0))
+            state = apply_evolution(state, gens[step], angle)
+            rho = _conjugate(rho, gens[step], angle)
+        elif step in measurements:
+            state = apply_measurement(state, measurements[step])
+            rho = sum(p.matrix() @ rho @ p.matrix() for p in measurements[step].projectors)
+        elif step == "copy":
+            state = state.copy()
+        elif step == "probabilities":
+            np.testing.assert_allclose(state.probabilities(), np.diag(rho).real, rtol=0, atol=1e-12)
+        else:
+            kind = GENERATOR_KINDS[rng.integers(len(GENERATOR_KINDS))]
+            want = np.trace(gens[kind].materialize() @ rho).real
+            assert abs(expectation(state, gens[kind]) - want) < 1e-12
+        if _rank(state) is not None:
+            assert state._arr.shape == (state.dim, _rank(state)) and _rank(state) < state.dim
+        np.testing.assert_allclose(_dense(state.copy()), rho, rtol=0, atol=1e-12)
+    assert abs(as_density(state.copy()).trace() - 1.0) < 1e-12
+    np.testing.assert_allclose(_dense(state), rho, rtol=0, atol=1e-12)
+
+
+def test_factored_form_densifies_at_full_rank():
+    # One qubit: |psi><psi| is rank 1 of 2, so the rank-one step densifies.
+    psi = random_state(1, np.random.default_rng(3))
+    rho = psi.to_density()
+    assert _rank(rho) == 1
+    expected = _conjugate(_dense(psi), RankOneUniform(1), 0.7)
+    apply_evolution(rho, RankOneUniform(1), 0.7)
+    assert _rank(rho) is None
+    np.testing.assert_allclose(rho.mat, expected, rtol=0, atol=1e-12)
+
+
+def test_promotion_is_a_rank_one_factor():
+    psi = random_state(5, np.random.default_rng(4))
+    rho = psi.to_density()
+    assert _rank(rho) == 1 and rho._arr.shape == (32, 1)
+    rho._arr[0, 0] = 0.0  # the factor does not alias the amplitudes
+    assert psi.amps[0] != 0.0
+    for read in (DensityMatrix.min_eigenvalue, DensityMatrix.validate, lambda r: r.mat):
+        other = psi.to_density()
+        read(other)
+        assert _rank(other) is None
+    # A column inside one block is not split: its other pieces are empty. The
+    # split waits for the next rank-one step, which appends u to L.
+    m = Measurement.two_outcome(Projector(5, range(0, 32, 3)))
+    inside = np.zeros(32, dtype=np.complex128)
+    inside[::3] = 1.0 / np.sqrt(11)
+    rho = apply_measurement(StateVector(inside), m)
+    apply_evolution(rho, RankOneUniform(5), 0.4)
+    assert _rank(rho) == 2
+    expected = _conjugate(np.outer(inside, inside), RankOneUniform(5), 0.4)
+    np.testing.assert_allclose(rho.mat, expected, rtol=0, atol=1e-15)
+    # The trivial measurement's empty projector adds no piece either.
+    rho = psi.to_density()
+    apply_evolution(rho, RankOneUniform(5), 0.3)
+    apply_measurement(rho, Measurement.trivial(5))
+    apply_evolution(rho, RankOneUniform(5), 0.2)
+    assert _rank(rho) == 2

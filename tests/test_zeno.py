@@ -19,6 +19,7 @@ from zenopt.qcore import (
     apply_evolution,
 )
 from zenopt.zeno import (
+    MAX_MEASUREMENTS,
     DeltaRangeError,
     UnsupportedMixerError,
     ZenoSchedule,
@@ -156,6 +157,15 @@ def test_block_with_zero_measurements_is_plain_evolution():
     ref = psi.copy()
     apply_evolution(ref, TransverseField(2), 0.61)
     np.testing.assert_allclose(out.amps, ref.amps, atol=1e-14)
+
+
+def test_block_refuses_a_count_above_the_limit():
+    psi = StateVector.uniform(2)
+    m = Measurement.two_outcome(Projector(2, [0, 1]))
+    for count in (MAX_MEASUREMENTS + 1, schedule_eta(1.5, 1e-300)):
+        with pytest.raises(ValueError, match=f"measurement count {count} exceeds the per-block limit"):
+            zeno_block(psi, [(TransverseField(2), 0.61)], m, count)
+    assert psi.amps[0] == 0.5  # refused before any step
 
 
 # ---------------------------------------------------------------------------
