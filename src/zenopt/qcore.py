@@ -6,7 +6,7 @@ variable ``x_{j+1}``. Pure states are kept as :class:`StateVector` for speed
 and are promoted to a :class:`DensityMatrix` only when a measurement
 super-operator first touches them (see :mod:`zenopt.zeno`).
 
-A density matrix has two storage forms. The promotion builds the factored
+A density matrix has three storage forms. The promotion builds the factored
 form rho = L S L^H (a d x r factor L, an r x r Hermitian S, r < d) in O(d).
 Diagonal steps scale the rows of L, a rank-one uniform step appends the
 uniform vector u to L once and then only updates S, and a measurement zeroes
@@ -14,19 +14,24 @@ the cross-block entries of S once the columns of L are split into block
 pieces (which the next rank-one step does), so a measured complete-graph
 QAOA costs O(d r) per layer and O(r^3) per sub-step. Everything else (any
 other generator, a read of ``mat``, the eigenvalue check, a rank that would
-reach d) leaves it through the one exit ``DensityMatrix._densify`` for the
-dense d x d form.
+reach d) leaves it through the one exit ``DensityMatrix._densify`` for a
+dense d x d form: a complex matrix in the computational basis, or, in the
+transverse field's frame (below), the real matrix K = Re rho~ + Im rho~,
+which fixes the Hermitian rho~ (Re rho~ = (K + K^T)/2, Im rho~ = (K - K^T)/2)
+at 8 B per entry, half the complex form's 16 B.
 
 Each generator kind is one class that holds its facts: its spectral span
 ``span()``, the frame ``frame`` its kernels act in, a propagator
 exp(-i*a*G) in a compact form, of which :meth:`Generator.propagator` keeps
 the last angle's, one evolution kernel, which applies it along one axis of
-a state array, and a density step, by default the kernel along the rows and
-then the columns with the conjugate propagator; :func:`apply_evolution`
+a state array, and a density step for each dense form it meets, by default
+the kernel along the rows and then the columns with the conjugate
+propagator; :func:`apply_evolution`
 alone tells pure from mixed. No structured generator is materialized for
 evolution: a diagonal acts by phases, the rank-one projector by a sum, and
 the transverse field by real Kronecker blocks, in the frame psi~ = D psi
-(rho~ = D rho D^H), D = diag(1, -i)^(x)n, that it moves a state into.
+(rho~ = D rho D^H), D = diag(1, -i)^(x)n, that it moves a state into; a
+dense density matrix enters the frame as K and leaves it decoded.
 Diagonals, measurements, drift control and probabilities commute with D
 and use the stored array as is; a rank-one or dense step leaves the frame,
 and so does reading ``StateVector.amps`` or ``DensityMatrix.mat``. A dense
@@ -58,6 +63,8 @@ _RESYM_INTERVAL = 100
 #: Largest qubit group whose transverse-field propagator is built as one
 #: dense block (a 64 x 64 matrix).
 _BLOCK_QUBITS = 6
+#: Side of the square tiles a diagonal step on the real form K works in.
+_TILE = 128
 
 
 class DimensionMismatchError(ValueError):
@@ -120,17 +127,38 @@ def _frame_phases(n: int) -> np.ndarray:
     return d
 
 
+def _encode(rho: np.ndarray, n: int) -> np.ndarray:
+    """K = Re rho~ + Im rho~ of a complex ``rho``, rho~ = D rho D^H (computed
+    in ``rho``, which is left overwritten)."""
+    d = _frame_phases(n)
+    rho *= d[:, None]
+    rho *= d.conj()
+    return np.add(rho.real, rho.imag, order="C")
+
+
+def _decode(k: np.ndarray, n: int) -> np.ndarray:
+    """rho = D^H rho~ D for the rho~ = (K + K^T)/2 + i (K - K^T)/2 that ``k``
+    encodes, as a new complex array."""
+    d = _frame_phases(n)
+    rho = np.empty(k.shape, dtype=np.complex128)
+    np.add(k, k.T, out=rho.real)
+    np.subtract(k, k.T, out=rho.imag)
+    rho *= 0.5 * d.conj()[:, None]
+    rho *= d
+    return rho
+
+
 class _Stored:
     """The stored array ``_arr`` of a state, in the frame D while ``_framed``."""
 
     __slots__ = ("n", "_arr", "_framed")
 
     def _set_frame(self, framed: bool):
-        """Move ``_arr`` into (or out of) the frame, in place; return self."""
+        """Move ``_arr`` into (or out of) the frame, in place; return self.
+        The entries of a vector and the rows of a matrix take the phases."""
         if self._framed is not framed:
             d = _frame_phases(self.n) if framed else _frame_phases(self.n).conj()
-            for side in self._frame_sides(d):
-                self._arr *= side
+            self._arr *= d if self._arr.ndim == 1 else d[:, None]
             self._framed = framed
         return self
 
@@ -138,16 +166,12 @@ class _Stored:
         return self._set_frame(False)._arr
 
     def _assign(self, arr: np.ndarray) -> None:
-        self._arr, self._framed = arr, False
+        # Complex: outside the frame a real dense matrix would read as K.
+        self._arr, self._framed = np.asarray(arr, dtype=np.complex128), False
 
     @property
     def dim(self) -> int:
         return self._arr.shape[0]
-
-    def copy(self):
-        out = type(self)(self._arr, copy=True, validate=False)
-        out._framed = self._framed
-        return out
 
 
 class StateVector(_Stored):
@@ -175,8 +199,10 @@ class StateVector(_Stored):
     def uniform(cls, n: int) -> "StateVector":
         return cls(np.full(1 << n, complex(1.0 / math.sqrt(1 << n))), copy=False, validate=False)
 
-    def _frame_sides(self, d):
-        return (d,)
+    def copy(self) -> "StateVector":
+        out = StateVector(self._arr, copy=True, validate=False)
+        out._framed = self._framed
+        return out
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self._arr) ** 2
@@ -184,13 +210,16 @@ class StateVector(_Stored):
     def to_density(self) -> "DensityMatrix":
         """|psi><psi| in the factored form L = psi, S = [1]: O(d), not O(d^2)."""
         one = np.ones((1, 1), dtype=np.complex128)
-        return DensityMatrix._factored(self.n, self._arr[:, None].copy(), one, self._framed)
+        return DensityMatrix._stored(self.n, self._arr[:, None].copy(), one, self._framed)
 
 
 class DensityMatrix(_Stored):
-    """Exact mixed state of an ``n``-qubit register, in one of two storage forms.
+    """Exact mixed state of an ``n``-qubit register, in one of three storage forms.
 
-    *Dense*: ``_arr`` is the d x d matrix. *Factored*: ``_arr`` is a d x r
+    *Dense*: ``_arr`` is the complex d x d matrix. *Real*: in the frame D
+    (``_framed``) a dense ``_arr`` is the float64 d x d matrix
+    K = Re rho~ + Im rho~; entering the frame encodes it and leaving the frame
+    decodes it. *Factored*: ``_arr`` is a d x r
     column-major factor L and ``_S`` an r x r Hermitian matrix, rho = L S L^H
     with r < d.
     A pure state is promoted to the factored form (L = psi), and it stays
@@ -205,7 +234,8 @@ class DensityMatrix(_Stored):
     Mutated in place by evolution and measurement; single-owner semantics.
     Long Zeno chains re-symmetrize and renormalize every
     ``_RESYM_INTERVAL`` super-operator applications to keep floating-point
-    drift out of the Hermiticity/trace invariants.
+    drift out of the Hermiticity/trace invariants (K is Hermitian by
+    construction, so it only renormalizes).
     """
 
     # _u: boolean mask of the columns of L that sum to the uniform vector
@@ -230,9 +260,10 @@ class DensityMatrix(_Stored):
                 raise ValueError(f"density matrix trace {tr} is not 1 within {_NORM_TOL}")
 
     @classmethod
-    def _factored(cls, n: int, factor: np.ndarray, s: np.ndarray, framed: bool) -> "DensityMatrix":
+    def _stored(cls, n: int, arr: np.ndarray, s: np.ndarray | None, framed: bool) -> "DensityMatrix":
+        """The state with storage ``arr`` (and ``s``: factored), no checks."""
         rho = cls.__new__(cls)
-        rho.n, rho._arr, rho._framed, rho._S = n, factor, framed, s
+        rho.n, rho._arr, rho._framed, rho._S = n, arr, framed, s
         rho._u = rho._blocks = rho._pending = None
         rho._superops = 0
         return rho
@@ -247,15 +278,22 @@ class DensityMatrix(_Stored):
         self._assign(mat)
         self._S = self._u = self._blocks = self._pending = None
 
-    def _frame_sides(self, d):
-        return (d[:, None],) if self._S is not None else (d[:, None], d.conj())
+    def _set_frame(self, framed: bool):
+        if self._S is None and self._framed is not framed:
+            self._arr = _encode(self._arr, self.n) if framed else _decode(self._arr, self.n)
+            self._framed = framed
+        return super()._set_frame(framed)
 
     def _densify(self) -> np.ndarray:
-        """The one exit from the factored form: ``_arr`` becomes L S L^H, in
-        the frame L is in. Returns the dense ``_arr``."""
+        """The one exit from the factored form: ``_arr`` becomes L S L^H, as K
+        in the frame. Returns the dense ``_arr``."""
         if self._S is not None:
             factor, s = self._arr, self._S
-            if s.shape[0] == 1:  # a promoted pure state: one outer product, no BLAS call
+            if self._framed:  # K = Re M (Re L - Im L)^T + Im M (Re L + Im L)^T, M = L S
+                m = factor @ s
+                self._arr = np.hstack((m.real, m.imag)) @ np.hstack(
+                    (factor.real - factor.imag, factor.real + factor.imag)).T
+            elif s.shape[0] == 1:  # a promoted pure state: one outer product, no BLAS call
                 self._arr = np.outer(factor[:, 0] * s[0, 0], factor[:, 0].conj())
             else:
                 self._arr = (factor @ s) @ factor.conj().T
@@ -325,7 +363,7 @@ class DensityMatrix(_Stored):
         return np.real(np.diag(self._arr)).copy()
 
     def min_eigenvalue(self) -> float:
-        mat = self._densify()
+        mat = self.mat
         return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
 
     def note_superop(self) -> None:
@@ -333,19 +371,20 @@ class DensityMatrix(_Stored):
         self._superops += 1
         if self._superops % _RESYM_INTERVAL == 0:
             target = self._arr if self._S is None else self._S
-            target += target.conj().T
-            target *= 0.5
+            if target.dtype == np.complex128:  # K (float64) is Hermitian by construction
+                target += target.conj().T
+                target *= 0.5
             target /= self.trace()
 
     def copy(self) -> "DensityMatrix":
-        if self._S is None:
-            return super().copy()
-        out = DensityMatrix._factored(self.n, self._arr.copy(order="F"), self._S.copy(), self._framed)
-        out._u, out._blocks, out._pending = self._u, self._blocks, self._pending  # never written in place
+        s = None if self._S is None else self._S.copy()
+        out = DensityMatrix._stored(self.n, self._arr.copy(order="K"), s, self._framed)
+        if s is not None:
+            out._u, out._blocks, out._pending = self._u, self._blocks, self._pending  # never written in place
         return out
 
     def validate(self, tol: float = _NORM_TOL) -> None:
-        if not is_hermitian(self._densify(), tol):
+        if not is_hermitian(self.mat, tol):
             raise ValueError("density matrix drifted off Hermitian")
         if abs(self.trace() - 1.0) > tol:
             raise ValueError("density matrix trace drifted off 1")
@@ -367,12 +406,12 @@ def as_density(state: State) -> DensityMatrix:
 
 def _apply_block(arr: np.ndarray, u: np.ndarray, q: int, post: int = 1, out=None):
     """Apply the real ``2^k x 2^k`` matrix ``u`` to qubits ``q .. q+k-1`` of
-    the complex ``arr`` viewed as ``(pre, 2^n, post)``, on its float64 view.
-    The result goes into ``out`` when that is a C-contiguous array of
+    the complex or real ``arr`` viewed as ``(pre, 2^n, post)``, on its float64
+    view. The result goes into ``out`` when that is a C-contiguous array of
     ``arr``'s shape that does not overlap it, else a new array; returns it."""
-    shape = (-1, u.shape[0], 2 * (1 << q) * post)
+    shape = (-1, u.shape[0], (arr.itemsize // 8) * (1 << q) * post)
     if out is None or not out.flags.c_contiguous:
-        out = np.empty(arr.shape, dtype=np.complex128)
+        out = np.empty(arr.shape, dtype=arr.dtype)
     floats = np.ascontiguousarray(arr).view(np.float64)
     np.matmul(u, floats.reshape(shape), out=out.view(np.float64).reshape(shape))
     return out
@@ -386,8 +425,9 @@ class Generator:
     pair is kept, so a measured block that repeats an angle builds it once.
     ``_evolve(arr, prop, pre, post)`` applies it along the middle axis of
     ``arr`` viewed as ``(pre, 2^n, post)`` (maybe in place), and
-    ``_evolve_density(mat, prop)`` conjugates a density matrix: by default
-    the rows, then the columns by ``np.conj(prop)``, the conjugate's form.
+    ``_evolve_density(mat, prop)`` conjugates a dense density matrix in the
+    form its frame gives (complex, or K in the frame D): by default the rows,
+    then the columns by ``np.conj(prop)``, the conjugate's form.
     ``frame`` is the frame the kernels act in (True: D, False: the
     computational basis, None: either); ``span()`` is the (min, max) eigenvalue.
     """
@@ -449,6 +489,27 @@ class Diagonal(Generator):
         view *= phases[:, None]
         return view.reshape(arr.shape)
 
+    def _evolve_density(self, mat, phases):
+        if mat.dtype != np.float64:
+            return super()._evolve_density(mat, phases)
+        # K holds z_ij = K_ij + i K_ji = (1 + i) conj(rho~_ij), so the step is
+        # z <- conj(e_i) z e_j. Each pair of tiles (I, J), I <= J, is read into
+        # one complex tile z before either is written; a diagonal tile's z holds
+        # each pair twice and keeps K_II = Re z.
+        t = min(_TILE, self.dim)
+        z = np.empty((t, t), dtype=np.complex128)
+        for i in range(0, self.dim, t):
+            rows = phases[i:i + t].conj()[:, None]
+            for j in range(i, self.dim, t):
+                z.real = mat[i:i + t, j:j + t]
+                z.imag = mat[j:j + t, i:i + t].T
+                z *= rows
+                z *= phases[j:j + t]
+                if j != i:
+                    mat[j:j + t, i:i + t] = z.imag.T
+                mat[i:i + t, j:j + t] = z.real
+        return mat
+
     def _evolve_factors(self, rho, phases):
         rho._arr *= phases[:, None]  # the rows of L; its columns no longer sum to u
         rho._u = None
@@ -459,9 +520,9 @@ class TransverseField(Generator):
     """Sum of single-qubit Pauli-X terms.
 
     exp(-i*a*X)^(x)n = D R D with D = diag(1, -i)^(x)n, R = [[c, s], [s, -c]]^(x)n.
-    The kernels act in the frame D: psi~ -> Q psi~, rho~ -> Q rho~ Q^T with the
-    real Q = D^2 R = [[c, s], [-s, c]]^(x)n, applied as Kronecker blocks of at
-    most ``_BLOCK_QUBITS`` qubits.
+    The kernels act in the frame D: psi~ -> Q psi~, and K -> Q K Q^T on the
+    real form of rho~, with the real Q = D^2 R = [[c, s], [-s, c]]^(x)n,
+    applied as Kronecker blocks of at most ``_BLOCK_QUBITS`` qubits.
     """
 
     __slots__ = ("_groups", "_index")
@@ -507,20 +568,17 @@ class TransverseField(Generator):
     def _evolve(self, arr, blocks, pre, post):
         return self._rows(arr.reshape(pre, self.dim, post), blocks, post)[0].reshape(arr.shape)
 
-    def _evolve_density(self, mat, blocks):
-        a, spare = self._rows(mat, blocks, self.dim)
-        if len(blocks) == 1:  # rho~ Hermitian: Q rho~ Q^T = Q (Q rho~)^H
-            np.conjugate(a.T, out=spare)
-            return self._rows(spare, blocks, self.dim, a)[0]
-        # Columns in place: the upper groups along the middle axis, then the lowest
-        # as a right product of the float64 view with kron(B^T, I_2), 2^n rows at a
-        # time (one product over all rows makes threaded BLAS touch 13 MiB more).
+    def _evolve_density(self, k, blocks):
+        # K <- Q K Q^T: the rows, then the columns, each product into the buffer
+        # the one before last has finished with. On the columns the upper groups
+        # act along the middle axis and the lowest is a right product with B^T,
+        # 2^n rows at a time (one product over all rows made threaded BLAS touch
+        # 13 MiB more on the complex form).
+        a, spare = self._rows(k, blocks, self.dim)
         for (q, _), block in zip(self._groups[1:], blocks[1:]):
             spare, a = a, _apply_block(a, block, q, 1, out=spare)
-        shape = (-1, self.dim, 2 * len(blocks[0]))
-        low = np.zeros((shape[2], shape[2]))  # kron(B^T, I_2), faster than np.kron
-        low[::2, ::2] = low[1::2, 1::2] = blocks[0].T
-        np.matmul(a.view(np.float64).reshape(shape), low, out=spare.view(np.float64).reshape(shape))
+        shape = (-1, self.dim, len(blocks[0]))
+        np.matmul(a.reshape(shape), blocks[0].T, out=spare.reshape(shape))
         return spare
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from zenopt import qcore
 from zenopt.operators import Measurement, Projector
 from zenopt.qcore import (
     DenseHermitian,
@@ -426,6 +427,7 @@ def _check_zeno_block(n, mixed, seed, kinds, n_measurements):
 
     out = zeno_block(state, gens, m, n_measurements)
     np.testing.assert_allclose(_dense(out), rho, rtol=0, atol=1e-12)
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -442,20 +444,74 @@ def test_zeno_block_multi_group_x_mixer():
     _check_zeno_block(7, True, 7, ["diag", "x"], 3)
 
 
+def _is_real_form(rho):
+    """A dense density matrix stored as K = Re rho~ + Im rho~, in the frame."""
+    return rho._S is None and rho._framed and rho._arr.dtype == np.float64 and rho._arr.shape == (rho.dim,) * 2
+
+
 def test_drift_control_runs_in_the_frame(monkeypatch):
-    # 120 measured sub-steps with the x mixer: the re-symmetrize and
-    # renormalize pass after the 100th measurement acts on the framed matrix.
-    framed, note = [], DensityMatrix.note_superop
-    monkeypatch.setattr(DensityMatrix, "note_superop", lambda rho: (framed.append(rho._framed), note(rho)))
-    _check_zeno_block(7, True, 12, ["diag", "x"], 120)
-    assert len(framed) == 120 and all(framed)
+    # 120 measured sub-steps with the x mixer: the drift pass after the 100th
+    # measurement acts on the real form K, where it only renormalizes the
+    # trace (symmetrizing K would erase Im rho~).
+    real, note = [], DensityMatrix.note_superop
+    monkeypatch.setattr(DensityMatrix, "note_superop", lambda rho: (real.append(_is_real_form(rho)), note(rho)))
+    out = _check_zeno_block(7, True, 12, ["diag", "x"], 120)
+    assert len(real) == 120 and all(real)
+    mat = out.mat
+    assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+    assert abs(np.trace(mat) - 1.0) <= 1e-12
+
+
+def test_copy_keeps_the_real_form():
+    n = 5
+    rng = np.random.default_rng(21)
+    state = _random_state(n, True, rng)
+    x, diag = TransverseField(n), Diagonal(rng.standard_normal(1 << n))
+    rho = _conjugate(state.mat, x, 0.4)
+    apply_evolution(state, x, 0.4)
+    twin = state.copy()
+    assert _is_real_form(state) and _is_real_form(twin)
+    assert not np.shares_memory(twin._arr, state._arr)
+    for g, angle in ((diag, 0.7), (x, -0.3), (diag, 1.1)):
+        apply_evolution(state, g, angle)
+        apply_evolution(twin, g, angle)
+        rho = _conjugate(rho, g, angle)
+    assert _is_real_form(twin)
+    np.testing.assert_array_equal(twin._arr, state._arr)
+    np.testing.assert_allclose(twin.mat, rho, rtol=0, atol=1e-12)
+    twin._arr[0, 1] += 1.0  # the copy does not alias the original
+    np.testing.assert_allclose(state.mat, rho, rtol=0, atol=1e-12)
+
+
+def test_assigned_real_matrix_is_not_read_as_the_real_form():
+    rho = DensityMatrix(np.eye(2) / 2.0)
+    rho.mat = np.full((2, 2), 0.5)  # |+><+|, real, outside the frame
+    gen = Diagonal(np.array([0.0, 1.0]))
+    apply_evolution(rho, gen, 0.9)
+    np.testing.assert_allclose(rho.mat, _conjugate(np.full((2, 2), 0.5), gen, 0.9), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, int(np.log2(qcore._TILE)), int(np.log2(qcore._TILE)) + 1])
+def test_diagonal_step_on_the_real_form_matches_phase_conjugation(n):
+    # Less than one tile, exactly one tile, and 2 x 2 tiles, where each pair
+    # (K_ij, K_ji) off the diagonal tiles lies in two different tiles.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((1 << n, 1 << n)) + 1j * rng.standard_normal((1 << n, 1 << n))
+    rho = a @ a.conj().T
+    gen = Diagonal(rng.standard_normal(1 << n))
+    e = gen.propagator(0.83)
+    k = gen._evolve_density(rho.real + rho.imag, e)
+    want = e[:, None] * rho * e.conj()
+    np.testing.assert_allclose(k, want.real + want.imag, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Frame leaks: public amplitudes and matrices never show the x-mixer frame
 # ---------------------------------------------------------------------------
 
-FRAME_STEPS = GENERATOR_KINDS + ("measure", "copy", "to_density", "probabilities", "expectation")
+FRAME_STEPS = GENERATOR_KINDS + (
+    "measure", "copy", "to_density", "probabilities", "expectation", "read", "min_eigenvalue", "validate",
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,6 +549,15 @@ def test_frame_never_leaks(case, steps):
             state, psi = as_density(state), None
         elif step == "probabilities":
             np.testing.assert_allclose(state.probabilities(), np.diag(rho).real, rtol=0, atol=1e-12)
+        elif step == "read":  # on the state itself, which leaves the frame
+            public = state.amps if psi is not None else state.mat
+            np.testing.assert_allclose(public, rho if psi is None else psi, rtol=0, atol=1e-12)
+        elif step == "min_eigenvalue":
+            state, psi = as_density(state), None
+            assert abs(state.min_eigenvalue() - np.linalg.eigvalsh(rho)[0]) < 1e-12
+        elif step == "validate":
+            state, psi = as_density(state), None
+            state.validate(1e-12)
         else:
             obs = gens[GENERATOR_KINDS[rng.integers(len(GENERATOR_KINDS))]]
             assert abs(expectation(state, obs) - np.trace(obs.materialize() @ rho).real) < 1e-12
