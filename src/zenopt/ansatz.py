@@ -236,6 +236,11 @@ def lvqe_generators(params: LvqeParams) -> list[tuple[DenseHermitian, float]]:
     exp(-i*H) with H = sum_k (theta_k / 2) * C Y_k C^T. The result is an
     ordered list of (generator, 1.0) pairs equivalent to the original gate
     sequence, which is exactly what a measured block can rescale.
+
+    Each H is purely imaginary (C is a permutation and Y = i [[0, -1], [1, 0]]),
+    so every generator is ``real``: its propagators are real orthogonal, the
+    state started at |0...0> stays real, and a measured block runs on the
+    real form K of the density matrix in the computational basis.
     """
     n = params.n
     perm = _ladder_permutation(n)

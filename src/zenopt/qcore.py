@@ -15,30 +15,35 @@ pieces (which the next rank-one step does), so a measured complete-graph
 QAOA costs O(d r) per layer and O(r^3) per sub-step. Everything else (any
 other generator, a read of ``mat``, the eigenvalue check, a rank that would
 reach d) leaves it through the one exit ``DensityMatrix._densify`` for a
-dense d x d form: a complex matrix in the computational basis, or, in the
-transverse field's frame (below), the real matrix K = Re rho~ + Im rho~,
-which fixes the Hermitian rho~ (Re rho~ = (K + K^T)/2, Im rho~ = (K - K^T)/2)
-at 8 B per entry, half the complex form's 16 B.
+dense d x d form: a complex matrix, or the real matrix K = Re rho + Im rho,
+which fixes the Hermitian rho (Re rho = (K + K^T)/2, Im rho = (K - K^T)/2)
+at 8 B per entry, half the complex form's 16 B. A dense matrix is stored
+as K, in whichever basis the state is stored in, whenever the step acting
+on it has a real propagator there (a real orthogonal V acts on K exactly as
+K -> V K V^T), and as the complex matrix when a step needs that form.
 
 Each generator kind is one class that holds its facts: its spectral span
-``span()``, the frame ``frame`` its kernels act in, a propagator
-exp(-i*a*G) in a compact form, of which :meth:`Generator.propagator` keeps
-the last angle's, one evolution kernel, which applies it along one axis of
-a state array, and a density step for each dense form it meets, by default
-the kernel along the rows and then the columns with the conjugate
-propagator; :func:`apply_evolution`
+``span()``, the frame ``frame`` its kernels act in, whether its density
+step acts on K (``real``), a propagator exp(-i*a*G) in a compact form, of
+which :meth:`Generator.propagator` keeps the last angle's, one evolution
+kernel, which applies it along one axis of a state array, and a density
+step for each dense form it meets, by default the kernel along the rows and
+then the columns with the conjugate propagator; :func:`apply_evolution`
 alone tells pure from mixed. No structured generator is materialized for
-evolution: a diagonal acts by phases, the rank-one projector by a sum, and
-the transverse field by real Kronecker blocks, in the frame psi~ = D psi
-(rho~ = D rho D^H), D = diag(1, -i)^(x)n, that it moves a state into; a
-dense density matrix enters the frame as K and leaves it decoded.
-Diagonals, measurements, drift control and probabilities commute with D
-and use the stored array as is; a rank-one or dense step leaves the frame,
-and so does reading ``StateVector.amps`` or ``DensityMatrix.mat``. A dense
-generator is exponentiated through its eigendecomposition, exact for
-Hermitian input and reusable across angles. Only :func:`expectation` of a
-non-diagonal observable, which no evolution loop needs, materializes the
-generator.
+evolution: a diagonal acts by phases on either dense form, the rank-one
+projector by a sum on the complex one, and the transverse field by real
+Kronecker blocks on K, in the frame psi~ = D psi (rho~ = D rho D^H),
+D = diag(1, -i)^(x)n, that it moves a state into. A dense generator is
+exponentiated through its eigendecomposition, exact for Hermitian input and
+reusable across angles; a purely imaginary one (a folded layer of the
+layered circuit, a Pauli string with an odd number of Y factors) has a real
+propagator, so it acts on K in the computational basis and on the float64
+view of a state vector. Diagonals, measurements, drift control and
+probabilities commute with D, hold on either dense form and use the stored
+array as is. Moving between bases, a step that needs the complex form, and
+reading ``StateVector.amps`` or ``DensityMatrix.mat`` decode first. Only
+:func:`expectation` of a non-diagonal observable, which no evolution loop
+needs, materializes the generator.
 """
 
 from __future__ import annotations
@@ -127,24 +132,27 @@ def _frame_phases(n: int) -> np.ndarray:
     return d
 
 
-def _encode(rho: np.ndarray, n: int) -> np.ndarray:
-    """K = Re rho~ + Im rho~ of a complex ``rho``, rho~ = D rho D^H (computed
-    in ``rho``, which is left overwritten)."""
-    d = _frame_phases(n)
-    rho *= d[:, None]
-    rho *= d.conj()
+def _encode(rho: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """K = Re rho + Im rho of a complex ``rho``; given the diagonal ``d`` of
+    D, of rho~ = D rho D^H instead (computed in ``rho``, which is left
+    overwritten)."""
+    if d is not None:
+        rho *= d[:, None]
+        rho *= d.conj()
     return np.add(rho.real, rho.imag, order="C")
 
 
-def _decode(k: np.ndarray, n: int) -> np.ndarray:
-    """rho = D^H rho~ D for the rho~ = (K + K^T)/2 + i (K - K^T)/2 that ``k``
-    encodes, as a new complex array."""
-    d = _frame_phases(n)
+def _decode(k: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """The rho = (K + K^T)/2 + i (K - K^T)/2 that ``k`` encodes, as a new
+    complex array; given the diagonal ``d`` of D, D^H rho D instead."""
     rho = np.empty(k.shape, dtype=np.complex128)
     np.add(k, k.T, out=rho.real)
     np.subtract(k, k.T, out=rho.imag)
-    rho *= 0.5 * d.conj()[:, None]
-    rho *= d
+    if d is None:
+        rho *= 0.5
+    else:
+        rho *= 0.5 * d.conj()[:, None]
+        rho *= d
     return rho
 
 
@@ -166,7 +174,7 @@ class _Stored:
         return self._set_frame(False)._arr
 
     def _assign(self, arr: np.ndarray) -> None:
-        # Complex: outside the frame a real dense matrix would read as K.
+        # Complex: a real dense matrix would read as K.
         self._arr, self._framed = np.asarray(arr, dtype=np.complex128), False
 
     @property
@@ -181,7 +189,7 @@ class StateVector(_Stored):
     amps = property(_Stored._public, _Stored._assign, doc="Amplitudes in the computational basis.")
 
     def __init__(self, amps: np.ndarray, *, copy: bool = True, validate: bool = True):
-        amps = np.array(amps, dtype=np.complex128, copy=copy).reshape(-1)
+        amps = (np.array if copy else np.asarray)(amps, dtype=np.complex128).reshape(-1)
         self.n = check_num_qubits(num_qubits_for_dim(amps.size))
         self.amps = amps
         if validate:
@@ -216,10 +224,15 @@ class StateVector(_Stored):
 class DensityMatrix(_Stored):
     """Exact mixed state of an ``n``-qubit register, in one of three storage forms.
 
-    *Dense*: ``_arr`` is the complex d x d matrix. *Real*: in the frame D
-    (``_framed``) a dense ``_arr`` is the float64 d x d matrix
-    K = Re rho~ + Im rho~; entering the frame encodes it and leaving the frame
-    decodes it. *Factored*: ``_arr`` is a d x r
+    *Dense*: ``_arr`` is the complex d x d matrix, always in the
+    computational basis. *Real*: ``_arr`` is the float64 d x d matrix
+    K = Re rho + Im rho of the matrix in the basis ``_framed`` names (rho~ in
+    the frame D, where a dense matrix is always K). A step whose propagator is
+    real in that basis (:attr:`Generator.real`) works on K, and a diagonal
+    step on either form; a dense state meets the transverse field encoded in
+    the frame and a purely imaginary dense generator encoded in the
+    computational basis. Moving between bases decodes first, and so does a
+    step that needs the complex form. *Factored*: ``_arr`` is a d x r
     column-major factor L and ``_S`` an r x r Hermitian matrix, rho = L S L^H
     with r < d.
     A pure state is promoted to the factored form (L = psi), and it stays
@@ -246,7 +259,7 @@ class DensityMatrix(_Stored):
     __slots__ = ("_superops", "_S", "_u", "_blocks", "_pending")
 
     def __init__(self, mat: np.ndarray, *, copy: bool = True, validate: bool = True):
-        mat = np.array(mat, dtype=np.complex128, copy=copy)
+        mat = (np.array if copy else np.asarray)(mat, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         self.n = check_num_qubits(num_qubits_for_dim(mat.shape[0]))
@@ -270,8 +283,9 @@ class DensityMatrix(_Stored):
 
     @property
     def mat(self) -> np.ndarray:
-        """The matrix in the computational basis (densifies a factored state)."""
-        return self._set_frame(False)._densify()
+        """The matrix in the computational basis (densifies a factored state
+        and decodes K)."""
+        return self._set_frame(False)._densify(False)
 
     @mat.setter
     def mat(self, mat: np.ndarray) -> None:
@@ -279,17 +293,24 @@ class DensityMatrix(_Stored):
         self._S = self._u = self._blocks = self._pending = None
 
     def _set_frame(self, framed: bool):
+        # A dense matrix is K in the frame: entering it encodes (a K of the
+        # computational basis is decoded first), leaving it decodes.
         if self._S is None and self._framed is not framed:
-            self._arr = _encode(self._arr, self.n) if framed else _decode(self._arr, self.n)
+            d = _frame_phases(self.n)
+            self._arr = _encode(self._densify(False), d) if framed else _decode(self._arr, d)
             self._framed = framed
         return super()._set_frame(framed)
 
-    def _densify(self) -> np.ndarray:
-        """The one exit from the factored form: ``_arr`` becomes L S L^H, as K
-        in the frame. Returns the dense ``_arr``."""
+    def _densify(self, real: bool | None = None) -> np.ndarray:
+        """The one exit from the factored form, and the one switch between the
+        dense forms in the computational basis: ``_arr`` becomes the dense
+        matrix, as K if ``real`` and complex if not. None keeps a dense
+        matrix's form and densifies as K exactly in the frame, where a dense
+        matrix is always K. Returns the dense ``_arr``."""
         if self._S is not None:
             factor, s = self._arr, self._S
-            if self._framed:  # K = Re M (Re L - Im L)^T + Im M (Re L + Im L)^T, M = L S
+            if self._framed if real is None else real:
+                # K = Re M (Re L - Im L)^T + Im M (Re L + Im L)^T, M = L S, in either basis
                 m = factor @ s
                 self._arr = np.hstack((m.real, m.imag)) @ np.hstack(
                     (factor.real - factor.imag, factor.real + factor.imag)).T
@@ -300,6 +321,8 @@ class DensityMatrix(_Stored):
             if self._pending is not None:
                 np.putmask(self._arr, self._pending.cross_block_mask(), 0.0)
             self._S = self._u = self._blocks = self._pending = None
+        elif real is not None and (self._arr.dtype == np.float64) is not real:
+            self._arr = _encode(self._arr) if real else _decode(self._arr)
         return self._arr
 
     def _append(self, column: np.ndarray) -> bool:
@@ -426,14 +449,17 @@ class Generator:
     ``_evolve(arr, prop, pre, post)`` applies it along the middle axis of
     ``arr`` viewed as ``(pre, 2^n, post)`` (maybe in place), and
     ``_evolve_density(mat, prop)`` conjugates a dense density matrix in the
-    form its frame gives (complex, or K in the frame D): by default the rows,
-    then the columns by ``np.conj(prop)``, the conjugate's form.
-    ``frame`` is the frame the kernels act in (True: D, False: the
-    computational basis, None: either); ``span()`` is the (min, max) eigenvalue.
+    form ``real`` names: by default the rows, then the columns by
+    ``np.conj(prop)``, the conjugate's form. ``frame`` is the frame the
+    kernels act in (True: D, False: the computational basis, None: either);
+    ``real`` is the dense form the density step takes (True: K, which the
+    frame D always takes, False: the complex matrix, None: either);
+    ``span()`` is the (min, max) eigenvalue.
     """
 
     __slots__ = ("n", "_memo")
     frame: bool | None = False
+    real: bool | None = False
 
     def __init__(self, n: int):
         self.n = check_num_qubits(n)
@@ -468,7 +494,7 @@ class Diagonal(Generator):
     """Cost-style operator, diagonal in the computational basis."""
 
     __slots__ = ("values",)
-    frame = None
+    frame = real = None
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -526,7 +552,7 @@ class TransverseField(Generator):
     """
 
     __slots__ = ("_groups", "_index")
-    frame = True
+    frame = real = True
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -620,9 +646,16 @@ class RankOneUniform(Generator):
 
 class DenseHermitian(Generator):
     """Arbitrary Hermitian generator, exponentiated via its eigendecomposition,
-    computed once at construction for every angle."""
+    computed once at construction for every angle.
 
-    __slots__ = ("mat", "_eig")
+    A generator whose symmetrized matrix has an all-zero real part (``real``,
+    tested exactly) is i A with A real antisymmetric, so its propagator
+    exp(a A) is real orthogonal: it is kept as the real part of the
+    eigendecomposition's product, acts on the float64 view of a state vector,
+    and conjugates the real form K of a density matrix as K -> (V K) V^T.
+    """
+
+    __slots__ = ("mat", "_eig", "real")
 
     def __init__(self, mat: np.ndarray):
         mat = np.array(mat, dtype=np.complex128)
@@ -631,6 +664,7 @@ class DenseHermitian(Generator):
         super().__init__(num_qubits_for_dim(mat.shape[0]))
         self.mat = (mat + mat.conj().T) / 2.0
         self.mat.setflags(write=False)
+        self.real = not np.any(self.mat.real)
         self._eig = np.linalg.eigh(self.mat)
 
     def materialize(self) -> np.ndarray:
@@ -642,13 +676,22 @@ class DenseHermitian(Generator):
 
     def _make(self, angle: float) -> np.ndarray:
         w, v = self._eig
-        return (v * np.exp(-1j * angle * w)) @ v.conj().T
+        u = (v * np.exp(-1j * angle * w)) @ v.conj().T
+        return np.ascontiguousarray(u.real) if self.real else u
 
     def _evolve(self, arr, u, pre, post):
-        # Every state layout has pre == 1 or post == 1: one matrix product.
+        # Every state layout has pre == 1 or post == 1: one matrix product, on
+        # the float64 view of a complex state when u is real.
         if pre == 1:
+            if self.real:
+                return _apply_block(arr, u, 0, post)
             return (u @ arr.reshape(self.dim, post)).reshape(arr.shape)
         return (arr.reshape(pre, self.dim) @ u.T).reshape(arr.shape)
+
+    def _evolve_density(self, mat, u):
+        if self.real:
+            return (u @ mat) @ u.T
+        return super()._evolve_density(mat, u)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +716,8 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
     """Conjugate ``state`` by exp(-i*angle*g), in place, and return it.
 
     The generator's kernel acts on the amplitudes of a pure state; its
-    density step conjugates a density matrix, each in the frame it needs.
+    density step conjugates a density matrix, each in the frame it needs and
+    a dense matrix in the form it needs.
     """
     angle = _check_angle(angle)
     _check_dims(state, g)
@@ -683,7 +727,7 @@ def apply_evolution(state: State, g: Generator, angle: float) -> State:
     if isinstance(state, StateVector):
         state._arr = g._evolve(state._arr, prop, 1, 1)
     elif state._S is None or not g._evolve_factors(state, prop):
-        state._arr = g._evolve_density(state._densify(), prop)
+        state._arr = g._evolve_density(state._densify(g.real), prop)
     return state
 
 

@@ -269,6 +269,21 @@ def test_lvqe_measured_block_matches_per_qubit_fold(n, p, seed, n_measurements):
     np.testing.assert_allclose(rho.mat, reference_lvqe(params, m, n_measurements), atol=1e-12)
 
 
+@pytest.mark.parametrize("n,p,seed", FOLD_CASES)
+def test_lvqe_runs_on_the_real_form(n, p, seed):
+    # Every folded layer is purely imaginary, so its propagator is real: the
+    # first sub-step evolves |0...0> and the measurement keeps it factored,
+    # and from the second sub-step on the state is the float64 matrix K in
+    # the computational basis.
+    rng = np.random.default_rng(seed)
+    params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
+    assert all(g.real and g.propagator(angle).dtype == np.float64 for g, angle in lvqe_generators(params))
+    m = Measurement.two_outcome(Projector(n, np.flatnonzero(rng.random(1 << n) < 0.5).tolist() + [0]))
+    rho = run_lvqe_zeno(m, params, 2)
+    assert rho._S is None and not rho._framed and rho._arr.dtype == np.float64
+    np.testing.assert_allclose(rho.mat, reference_lvqe(params, m, 2), rtol=0, atol=1e-12)
+
+
 def test_lvqe_zero_angles_is_ground_state():
     inst, feas, m = bundle_for()
     params = LvqeParams.from_flat(4, 1, np.zeros(8))

@@ -59,6 +59,18 @@ def test_density_matrix_invariants_enforced():
     rho.validate()
 
 
+def test_no_copy_constructors_take_real_input_and_share_complex_input():
+    # copy=False copies only when the input is not complex128 already.
+    psi = StateVector(np.array([1.0, 0.0]), copy=False)
+    rho = DensityMatrix(np.eye(2) / 2.0, copy=False)
+    assert psi.amps.dtype == rho.mat.dtype == np.complex128
+    np.testing.assert_array_equal(rho.mat, np.eye(2) / 2.0)
+    amps, mat = np.array([0.0, 1.0], dtype=np.complex128), np.eye(2, dtype=np.complex128) / 2.0
+    assert np.shares_memory(StateVector(amps, copy=False).amps, amps)
+    assert np.shares_memory(DensityMatrix(mat, copy=False).mat, mat)
+    assert not np.shares_memory(StateVector(amps).amps, amps)
+
+
 def test_qubit_cap_env_var(monkeypatch):
     monkeypatch.setenv("ZENO_MAX_QUBITS", "3")
     assert max_qubits() == 3
@@ -281,7 +293,7 @@ def test_zeno_block_independent_of_earlier_angles(kind):
 # Differential test: every generator kind against scipy expm conjugation
 # ---------------------------------------------------------------------------
 
-GENERATOR_KINDS = ("diag", "x", "cg", "dense")
+GENERATOR_KINDS = ("diag", "x", "cg", "dense", "imag")
 
 
 def _random_generator(kind, n, rng):
@@ -291,7 +303,11 @@ def _random_generator(kind, n, rng):
         return TransverseField(n)
     if kind == "cg":
         return RankOneUniform(n)
-    h = _random_hermitian(n, rng)
+    if kind == "imag":  # i A, A real antisymmetric: a real propagator, acting on K
+        a = rng.standard_normal((1 << n, 1 << n))
+        h = 1j * (a - a.T)
+    else:
+        h = _random_hermitian(n, rng)
     return DenseHermitian(h / np.linalg.norm(h, 2))
 
 
@@ -444,22 +460,67 @@ def test_zeno_block_multi_group_x_mixer():
     _check_zeno_block(7, True, 7, ["diag", "x"], 3)
 
 
-def _is_real_form(rho):
-    """A dense density matrix stored as K = Re rho~ + Im rho~, in the frame."""
-    return rho._S is None and rho._framed and rho._arr.dtype == np.float64 and rho._arr.shape == (rho.dim,) * 2
+def _is_real_form(rho, framed=None):
+    """A dense density matrix stored as K = Re rho + Im rho, in the basis
+    ``framed`` names (None: either)."""
+    return (rho._S is None and framed in (None, rho._framed)
+            and rho._arr.dtype == np.float64 and rho._arr.shape == (rho.dim,) * 2)
 
 
-def test_drift_control_runs_in_the_frame(monkeypatch):
-    # 120 measured sub-steps with the x mixer: the drift pass after the 100th
-    # measurement acts on the real form K, where it only renormalizes the
-    # trace (symmetrizing K would erase Im rho~).
+def _check_drift_control_on_the_real_form(monkeypatch, kinds, framed):
+    # 120 measured sub-steps: the drift pass after the 100th measurement acts
+    # on the real form K, where it only renormalizes the trace (symmetrizing
+    # K would erase Im rho).
     real, note = [], DensityMatrix.note_superop
-    monkeypatch.setattr(DensityMatrix, "note_superop", lambda rho: (real.append(_is_real_form(rho)), note(rho)))
-    out = _check_zeno_block(7, True, 12, ["diag", "x"], 120)
+    monkeypatch.setattr(DensityMatrix, "note_superop",
+                        lambda rho: (real.append(_is_real_form(rho, framed)), note(rho)))
+    out = _check_zeno_block(7, True, 12, kinds, 120)
     assert len(real) == 120 and all(real)
     mat = out.mat
     assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
     assert abs(np.trace(mat) - 1.0) <= 1e-12
+
+
+def test_drift_control_runs_in_the_frame(monkeypatch):
+    _check_drift_control_on_the_real_form(monkeypatch, ["diag", "x"], True)
+
+
+def test_drift_control_runs_on_the_real_form_of_the_computational_basis(monkeypatch):
+    # A purely imaginary dense generator keeps K outside the frame.
+    _check_drift_control_on_the_real_form(monkeypatch, ["diag", "imag"], False)
+
+
+def test_dense_generator_is_real_exactly_when_purely_imaginary():
+    x, y = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]])
+    assert DenseHermitian(y).real and DenseHermitian(np.kron(y, x)).real
+    assert not DenseHermitian(np.kron(y, y)).real and not DenseHermitian(x).real
+    a = np.random.default_rng(3).standard_normal((8, 8))
+    assert not DenseHermitian(1j * (a - a.T) + 1e-300 * np.eye(8)).real  # exact, no tolerance
+    gen = DenseHermitian(1j * (a - a.T))
+    v = gen.propagator(0.6)
+    assert v.dtype == np.float64 and v.flags.c_contiguous
+    np.testing.assert_allclose(v, expm(-0.6j * gen.materialize()), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(v @ v.T, np.eye(8), rtol=0, atol=1e-13)
+
+
+def test_real_form_moves_between_bases():
+    # A promoted pure state densifies straight to K for an imaginary dense
+    # step; K in the computational basis meets the x mixer (decode, then
+    # encode in the frame), K in the frame meets an imaginary dense step
+    # (decode, then encode outside it), and a rank-one step decodes K to the
+    # complex form.
+    n = 4
+    rng = np.random.default_rng(8)
+    state = random_state(n, rng).to_density()
+    assert _rank(state) == 1
+    rho = _dense(state.copy())
+    imag = _random_generator("imag", n, rng)
+    for g, framed in ((imag, False), (TransverseField(n), True), (imag, False), (RankOneUniform(n), None)):
+        apply_evolution(state, g, 0.45)
+        rho = _conjugate(rho, g, 0.45)
+        assert _is_real_form(state, framed) is (framed is not None)
+        np.testing.assert_allclose(state.copy().mat, rho, rtol=0, atol=1e-12)
+    assert state._arr.dtype == np.complex128 and not state._framed
 
 
 def test_copy_keeps_the_real_form():
