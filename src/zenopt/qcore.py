@@ -37,9 +37,8 @@ D = diag(1, -i)^(x)n, that it moves a state into. A dense generator is
 exponentiated through its eigendecomposition, exact for Hermitian input and
 reusable across angles; a purely imaginary one (a folded layer of the
 layered circuit, a Pauli string with an odd number of Y factors) has a real
-propagator, so it acts on K in the computational basis and on the float64
-view of a state vector. Diagonals, measurements, drift control and
-probabilities commute with D, hold on either dense form and use the stored
+propagator, so it acts on K in the computational basis. Diagonals,
+measurements, drift control and probabilities commute with D, hold on either dense form and use the stored
 array as is. Moving between bases, a step that needs the complex form, and
 reading ``StateVector.amps`` or ``DensityMatrix.mat`` decode first. Only
 :func:`expectation` of a non-diagonal observable, which no evolution loop
@@ -651,8 +650,9 @@ class DenseHermitian(Generator):
     A generator whose symmetrized matrix has an all-zero real part (``real``,
     tested exactly) is i A with A real antisymmetric, so its propagator
     exp(a A) is real orthogonal: it is kept as the real part of the
-    eigendecomposition's product, acts on the float64 view of a state vector,
-    and conjugates the real form K of a density matrix as K -> (V K) V^T.
+    eigendecomposition's product and conjugates the real form K of a density
+    matrix as K -> (V K) V^T; a state vector takes the same product as for a
+    complex propagator.
     """
 
     __slots__ = ("mat", "_eig", "real")
@@ -680,11 +680,8 @@ class DenseHermitian(Generator):
         return np.ascontiguousarray(u.real) if self.real else u
 
     def _evolve(self, arr, u, pre, post):
-        # Every state layout has pre == 1 or post == 1: one matrix product, on
-        # the float64 view of a complex state when u is real.
+        # Every state layout has pre == 1 or post == 1: one matrix product.
         if pre == 1:
-            if self.real:
-                return _apply_block(arr, u, 0, post)
             return (u @ arr.reshape(self.dim, post)).reshape(arr.shape)
         return (arr.reshape(pre, self.dim) @ u.T).reshape(arr.shape)
 

@@ -531,13 +531,13 @@ def test_copy_keeps_the_real_form():
     rho = _conjugate(state.mat, x, 0.4)
     apply_evolution(state, x, 0.4)
     twin = state.copy()
-    assert _is_real_form(state) and _is_real_form(twin)
+    assert _is_real_form(state, True) and _is_real_form(twin, True)
     assert not np.shares_memory(twin._arr, state._arr)
     for g, angle in ((diag, 0.7), (x, -0.3), (diag, 1.1)):
         apply_evolution(state, g, angle)
         apply_evolution(twin, g, angle)
         rho = _conjugate(rho, g, angle)
-    assert _is_real_form(twin)
+    assert _is_real_form(twin, True)
     np.testing.assert_array_equal(twin._arr, state._arr)
     np.testing.assert_allclose(twin.mat, rho, rtol=0, atol=1e-12)
     twin._arr[0, 1] += 1.0  # the copy does not alias the original
