@@ -34,11 +34,12 @@ evolution: a diagonal acts by phases on either dense form, the rank-one
 projector by a sum on the complex one, and the transverse field by real
 Kronecker blocks on K, in the frame psi~ = D psi (rho~ = D rho D^H),
 D = diag(1, -i)^(x)n, that it moves a state into. A dense generator is
-exponentiated through its eigendecomposition, exact for Hermitian input and
-reusable across angles; a purely imaginary one (a folded layer of the
-layered circuit, a Pauli string with an odd number of Y factors) has a real
-propagator, so it acts on K in the computational basis. Diagonals,
-measurements, drift control and probabilities commute with D, hold on either dense form and use the stored
+exponentiated through its eigenpairs, reusable across angles: ``eigh`` of a
+given matrix, or a closed form (a folded layer of the layered circuit), which
+forms no matrix. A purely imaginary one (a folded layer, a Pauli string with
+an odd number of Y factors) has a real propagator, so it acts on K in the
+computational basis. Diagonals, measurements, drift control and
+probabilities commute with D, hold on either dense form and use the stored
 array as is. Moving between bases, a step that needs the complex form, and
 reading ``StateVector.amps`` or ``DensityMatrix.mat`` decode first. Only
 :func:`expectation` of a non-diagonal observable, which no evolution loop
@@ -644,15 +645,17 @@ class RankOneUniform(Generator):
 
 
 class DenseHermitian(Generator):
-    """Arbitrary Hermitian generator, exponentiated via its eigendecomposition,
-    computed once at construction for every angle.
+    """Arbitrary Hermitian generator V diag(w) V^H, exponentiated for every
+    angle through its eigenpairs (w, V): ``eigh`` of the matrix at
+    construction, or eigenpairs known in closed form (:meth:`from_eigh`: no
+    matrix until ``materialize()``, no check, no ``eigh``).
 
     A generator whose symmetrized matrix has an all-zero real part (``real``,
     tested exactly) is i A with A real antisymmetric, so its propagator
-    exp(a A) is real orthogonal: it is kept as the real part of the
-    eigendecomposition's product and conjugates the real form K of a density
-    matrix as K -> (V K) V^T; a state vector takes the same product as for a
-    complex propagator.
+    exp(a A) is real orthogonal: Re(V e) Re(V)^T + Im(V e) Im(V)^T,
+    e = exp(-i a w), two real products. It conjugates the real form K of a
+    density matrix as K -> (V K) V^T; a state vector takes the same product
+    as for a complex propagator.
     """
 
     __slots__ = ("mat", "_eig", "real")
@@ -667,17 +670,30 @@ class DenseHermitian(Generator):
         self.real = not np.any(self.mat.real)
         self._eig = np.linalg.eigh(self.mat)
 
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray, *, real: bool) -> "DenseHermitian":
+        """The generator with eigenvalues ``w`` (in any order) and orthonormal
+        eigenvectors the columns of ``v``, purely imaginary if ``real``; trusted."""
+        g = cls.__new__(cls)
+        Generator.__init__(g, num_qubits_for_dim(len(w)))
+        g.mat, g._eig, g.real = None, (w, v), real
+        return g
+
     def materialize(self) -> np.ndarray:
-        return np.array(self.mat)
+        if self.mat is not None:
+            return np.array(self.mat)
+        w, v = self._eig
+        mat = (v * w) @ v.conj().T
+        return 1j * mat.imag if self.real else mat
 
     def span(self) -> tuple[float, float]:
         w = self._eig[0]
-        return (float(w[0]), float(w[-1]))
+        return (float(w.min()), float(w.max()))
 
     def _make(self, angle: float) -> np.ndarray:
         w, v = self._eig
-        u = (v * np.exp(-1j * angle * w)) @ v.conj().T
-        return np.ascontiguousarray(u.real) if self.real else u
+        ve = v * np.exp(-1j * angle * w)
+        return ve.real @ v.real.T + ve.imag @ v.imag.T if self.real else ve @ v.conj().T
 
     def _evolve(self, arr, u, pre, post):
         # Every state layout has pre == 1 or post == 1: one matrix product.

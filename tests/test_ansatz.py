@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from zenopt import problems
+from zenopt import experiments, problems
 from zenopt.ansatz import (
     AdiabaticConfig,
     LvqeParams,
@@ -19,8 +19,9 @@ from zenopt.ansatz import (
     run_qaoa_zeno,
     zeno_mixer_ground_state,
 )
-from zenopt.operators import Measurement, Projector
+from zenopt.operators import Measurement, Projector, bit_matrix
 from zenopt.qcore import (
+    DenseHermitian,
     Diagonal,
     RankOneUniform,
     StateVector,
@@ -256,6 +257,53 @@ def test_layer_generator_equals_product_of_pauli_strings(n, p, seed):
         for g, theta in strings:
             product = expm(-1j * theta * g) @ product
         np.testing.assert_allclose(expm(-1j * angle * gen.materialize()), product, atol=1e-12)
+
+
+def scatter_fold(params: LvqeParams) -> list[np.ndarray]:
+    """Reference: each layer's H = C (sum_k (theta_k / 2) Y_k) C^T as a dense
+    matrix, scattered entry by entry through the ladder permutation C."""
+    n = params.n
+    perm = _ladder_permutation(n)
+    idx = np.arange(1 << n, dtype=np.int64)
+    flipped = idx ^ (1 << np.arange(n))[:, None]  # (n, 2^n): row k flips qubit k
+    y_sign = 1j * (1.0 - 2.0 * bit_matrix(n).T)  # Y|0> = i|1>, Y|1> = -i|0>
+    conj, layers = idx, []
+    for row in reversed([params.theta0, *params.layer_thetas]):
+        h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        h[conj[flipped], conj] = (0.5 * np.asarray(row))[:, None] * y_sign
+        layers.append(h)
+        conj = perm[conj]
+    return layers[::-1]
+
+
+@pytest.mark.parametrize("n,p,seed", FOLD_CASES + [(6, 3, 9)])
+def test_closed_form_layers_match_the_scattered_fold(n, p, seed):
+    rng = np.random.default_rng(seed)
+    params = LvqeParams.from_flat(n, p, rng.uniform(-np.pi, np.pi, size=n * (p + 1)))
+    rows = [params.theta0, *params.layer_thetas]
+    for (gen, angle), h, row in zip(lvqe_generators(params), scatter_fold(params), rows):
+        assert angle == 1.0 and gen.real
+        np.testing.assert_allclose(gen.materialize(), h, rtol=0, atol=1e-12)
+        for a in (0.3, -1.7):
+            u = gen.propagator(a)
+            assert u.dtype == np.float64
+            np.testing.assert_allclose(u, expm(-1j * a * h), rtol=0, atol=1e-12)
+        half = 0.5 * np.abs(row).sum()
+        np.testing.assert_allclose(gen.span(), (-half, half), rtol=0, atol=1e-12)
+
+
+def test_lvqe_objective_needs_no_eigh_and_no_generator_matrix(monkeypatch):
+    bundle = experiments.ProblemBundle.build(problems.generate_instance(5, 3))
+    objective = experiments.lvqe_objective(bundle, 2, 6)
+    x = np.random.default_rng(2).uniform(-np.pi, np.pi, size=15)
+    before = objective(x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the layered circuit must not need this")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(DenseHermitian, "materialize", refuse)
+    assert objective(x) == before
 
 
 @pytest.mark.parametrize("n_measurements", [0, 1, 3, 20])

@@ -503,6 +503,22 @@ def test_dense_generator_is_real_exactly_when_purely_imaginary():
     np.testing.assert_allclose(v @ v.T, np.eye(8), rtol=0, atol=1e-13)
 
 
+def test_generator_from_eigenpairs_in_any_order():
+    # Eigenpairs known in closed form come unsorted: span() is the min and
+    # max, and the generator is the one eigh builds from the matrix, which
+    # it never forms for evolution.
+    rng = np.random.default_rng(4)
+    mat = _random_hermitian(3, rng)
+    w, v = np.linalg.eigh(mat)
+    order = [3, 0, 7, 5, 1, 6, 2, 4]
+    gen = DenseHermitian.from_eigh(w[order], v[:, order], real=False)
+    assert gen.n == 3 and gen.mat is None and not gen.real
+    assert gen.span() == (float(w[0]), float(w[-1]))
+    ref = DenseHermitian(mat)
+    np.testing.assert_allclose(gen.propagator(0.4), ref.propagator(0.4), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(gen.materialize(), ref.materialize(), rtol=0, atol=1e-13)
+
+
 def test_real_form_moves_between_bases():
     # A promoted pure state densifies straight to K for an imaginary dense
     # step; K in the computational basis meets the x mixer (decode, then
